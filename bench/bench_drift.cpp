@@ -36,8 +36,8 @@
 #include "core/trainer.hpp"
 #include "drift/tracker.hpp"
 #include "ecg/dataset.hpp"
-#include "net/client.hpp"
 #include "platform/cycles.hpp"
+#include "platform/icyheart.hpp"
 #include "scenario/episodes.hpp"
 #include "service/fleet.hpp"
 
@@ -109,13 +109,14 @@ Replay replay(const Trained& t, const scenario::ScenarioSpec& spec,
   Replay r;
   std::uint64_t beats_before_onset = 0;
   std::uint64_t alarm_beat = 0;
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    const core::MonitorBeat b = monitor.classify(pb);
     if (b.r_peak < onset_sample) beats_before_onset = tracker.beats();
     r.max_score = std::max(r.max_score, tracker.score());
     if (alarm_beat == 0 && tracker.alarm_active())
       alarm_beat = tracker.beats();
   };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
+  monitor.push_block(dsp::sanitize_samples(stream.samples), sink);
   monitor.flush(sink);
   r.beats = tracker.beats();
   r.novel = tracker.novel_beats();
@@ -139,7 +140,7 @@ std::vector<std::int32_t> harvest_projections(const Trained& t,
     (void)t.classifier.classify_window(pb.window, scratch);
     us.insert(us.end(), scratch.u.begin(), scratch.u.end());
   };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
+  monitor.push_block(dsp::sanitize_samples(stream.samples), sink);
   monitor.flush(sink);
   (void)k;
   return us;
@@ -258,13 +259,7 @@ int main(int argc, char** argv) {
   // --- identity: fleet drift state must not depend on the thread layout.
   {
     const auto stream = scenario::build_scenario(shift_spec(1.0));
-    std::vector<dsp::Sample> codes;
-    codes.reserve(stream.samples.size());
-    const core::MonitorConfig mc;
-    dsp::Sample last = 0;
-    for (const double x : stream.samples)
-      codes.push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
+    const auto codes = dsp::sanitize_samples(stream.samples);
     auto digest = [&](std::size_t threads, std::size_t shards) {
       service::FleetConfig cfg;
       cfg.threads = threads;

@@ -113,11 +113,11 @@ struct Tagged {
   }
 };
 
-/// Direct ingest of a double lead on one engine; `mid_hook(engine, id,
-/// offered)` runs after every pumped block.
+/// Direct ingest of a double lead, sanitized, on one engine;
+/// `mid_hook(engine, id, offered)` runs after every pumped block.
 std::vector<Tagged> run_engine(
     const embedded::EmbeddedClassifier& classifier,
-    std::span<const double> lead, std::size_t threads, std::size_t shards,
+    std::span<const double> raw, std::size_t threads, std::size_t shards,
     const std::function<void(service::FleetEngine&, service::SessionId,
                              std::size_t)>& mid_hook = nullptr) {
   service::FleetConfig cfg;
@@ -131,6 +131,8 @@ std::vector<Tagged> run_engine(
                          static_cast<std::uint8_t>(r.beat.quality),
                          r.model_version});
   });
+  const auto codes = dsp::sanitize_samples(raw);
+  const std::span<const dsp::Sample> lead(codes);
   std::size_t off = 0;
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
@@ -287,7 +289,8 @@ int main(int argc, char** argv) {
     std::vector<double> inflight;
     std::uint64_t version = 1;
     std::size_t block = 0;
-    const std::span<const double> span(lead);
+    const auto codes = dsp::sanitize_samples(lead);
+    const std::span<const dsp::Sample> span(codes);
     // Cycle the lead until enough swaps are sampled: one continuous
     // session, a swap staged every third block.
     while (static_cast<int>(latencies_us.size()) < target_swaps) {

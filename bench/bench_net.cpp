@@ -204,12 +204,11 @@ int main(int argc, char** argv) {
   std::printf("# training classifier (%zu threads)\n", threads);
   const auto classifier = train_quick(threads);
 
-  // The ward: profiles rotate; codes are pre-sanitized exactly like the
-  // client's double path so the reference and the wire see identical input.
+  // The ward: profiles rotate; the records are already ADC codes, pushed
+  // as-is so the reference and the wire see identical input.
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  const core::MonitorConfig mc;
   std::vector<std::vector<dsp::Sample>> codes(nodes);
   std::uint64_t samples_total = 0;
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -218,12 +217,7 @@ int main(int argc, char** argv) {
     scfg.duration_s = seconds;
     scfg.num_leads = 1;
     scfg.seed = 9100 + i;
-    const auto rec = ecg::generate_record(scfg);
-    dsp::Sample last = 0;
-    codes[i].reserve(rec.leads[0].size());
-    for (const double x : rec.leads[0])
-      codes[i].push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
+    codes[i] = ecg::generate_record(scfg).leads[0];
     samples_total += codes[i].size();
   }
 

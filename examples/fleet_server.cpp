@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const ecg::RecordProfile profiles[] = {
       ecg::RecordProfile::NormalSinus, ecg::RecordProfile::PvcOccasional,
       ecg::RecordProfile::PvcBigeminy, ecg::RecordProfile::Lbbb};
-  std::vector<std::vector<double>> streams(nodes);
+  std::vector<std::vector<dsp::Sample>> streams(nodes);
   std::vector<ecg::RecordProfile> node_profile(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     ecg::SynthConfig scfg;
@@ -90,11 +90,10 @@ int main(int argc, char** argv) {
           {testing::FaultKind::NonFinite, 2 * lead.size() / 3,
            static_cast<std::size_t>(rec.fs_hz), 0.0, 0.25},
       };
-      testing::FaultInjector injector(fcfg);
-      for (const auto x : lead)
-        for (const double y : injector.feed(x)) streams[i].push_back(y);
+      streams[i] =
+          dsp::sanitize_samples(testing::FaultInjector::apply(lead, fcfg));
     } else {
-      streams[i].assign(lead.begin(), lead.end());
+      streams[i] = lead;
     }
   }
 
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
       if (offset >= streams[i].size()) continue;
       any = true;
       const std::size_t n = std::min(kPacket, streams[i].size() - offset);
-      std::span<const double> packet(streams[i].data() + offset, n);
+      std::span<const dsp::Sample> packet(streams[i].data() + offset, n);
       // Block policy: retry until the bounded queue takes the packet.
       while (true) {
         const auto res = engine.offer(ids[i], packet);

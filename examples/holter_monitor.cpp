@@ -165,25 +165,30 @@ int main(int argc, char** argv) {
   core::StreamingBeatMonitor monitor(trained.quantize(), mon_cfg);
   std::size_t beats_total = 0, beats_suspect = 0;
   testing::FaultInjector injector(fcfg);
-  // Beats stream straight into the sink as they finalize — no per-sample
-  // result vectors on the monitoring loop.
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
+  // Beats stream straight into the sink as they finalize and are classified
+  // in place — no per-sample result vectors on the monitoring loop.
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    const core::MonitorBeat b = monitor.classify(pb);
     ++beats_total;
     beats_suspect += b.quality == dsp::SignalQuality::Suspect;
   };
   // Replay in ADC-DMA-sized blocks through the monitor's block entry point
   // (the fault injector still mangles sample-by-sample, like the front end
-  // would).
-  std::vector<double> block;
+  // would, and the sanitizer turns its doubles into ADC codes).
+  std::vector<dsp::Sample> block;
   constexpr std::size_t kBlock = 1024;
+  dsp::Sample last = dsp::rail_midpoint(mon_cfg.quality);
+  std::uint64_t nonfinite = 0;
   for (const auto x : lead) {
-    for (const double y : injector.feed(x)) block.push_back(y);
+    for (const double y : injector.feed(x))
+      block.push_back(
+          dsp::sanitize_sample(y, mon_cfg.quality, last, &nonfinite));
     if (block.size() >= kBlock) {
-      monitor.push_block(std::span<const double>(block), sink);
+      monitor.push_block(block, sink);
       block.clear();
     }
   }
-  monitor.push_block(std::span<const double>(block), sink);
+  monitor.push_block(block, sink);
   monitor.flush(sink);
   const auto& stats = monitor.stats();  // cumulative: survives flush()
 
@@ -191,9 +196,9 @@ int main(int argc, char** argv) {
       "  %zu beats (%zu escalated to Unknown under suspect signal)\n"
       "  %zu samples suppressed in bad-signal state, %zu degradations, "
       "%zu recoveries\n"
-      "  %zu non-finite samples rejected, %zu out-of-range clamped\n",
+      "  %llu non-finite samples held by the sanitizer\n",
       beats_total, beats_suspect, stats.bad_signal_samples,
-      stats.degradations, stats.recoveries, stats.rejected_nonfinite,
-      stats.clamped);
+      stats.degradations, stats.recoveries,
+      static_cast<unsigned long long>(nonfinite));
   return 0;
 }

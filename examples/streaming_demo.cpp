@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
                     ? "  [detailed analysis triggered]"
                     : "");
   };
-  for (const auto x : rec.leads[0])
-    for (const auto& b : monitor.push(x)) report(b);
-  for (const auto& b : monitor.flush()) report(b);
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    report(monitor.classify(pb));
+  };
+  for (const auto& x : rec.leads[0]) monitor.push_block({&x, 1}, sink);
+  monitor.flush(sink);
 
   std::printf("\n%zu beats, %zu flagged (%.1f%%); record had %zu annotated "
               "beats\n",

@@ -12,10 +12,11 @@
 #include <cstring>
 #include <string>
 
-#include "dsp/morphology.hpp"
 #include "dsp/peak_detect.hpp"
 #include "ecg/mitdb.hpp"
 #include "ecg/synth.hpp"
+#include "kernels/dsp_condition.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
 
 namespace {
@@ -78,8 +79,12 @@ int run(int argc, char** argv) {
 
     // Run the acquisition chain and report detector quality against the
     // stored annotations.
-    const auto conditioned = dsp::condition_ecg(rec.leads[0]);
-    const auto peaks = dsp::detect_r_peaks(conditioned);
+    kernels::ConditionScratch cond_scratch;
+    kernels::PeakScratch peak_scratch;
+    dsp::Signal conditioned;
+    std::vector<std::size_t> peaks;
+    kernels::condition_ecg_block(rec.leads[0], {}, cond_scratch, conditioned);
+    kernels::detect_r_peaks_kind(conditioned, {}, peak_scratch, peaks);
     std::vector<std::size_t> ref;
     for (const auto& b : rec.beats) ref.push_back(b.sample);
     const auto stats = dsp::match_peaks(peaks, ref, 54);

@@ -99,6 +99,24 @@ echo "==== fleet gate (identity/speedup keys vs BENCH_fleet.json)"
 # The quick grid deliberately omits the full-run fleet_widest_speedup key,
 # so that comparison warn-skips; identity_pass is gated hard.
 python3 scripts/perf_gate.py BENCH_fleet.json build/BENCH_fleet_quick.json
+echo "==== perf gate self-check (identity is gated on any host)"
+python3 - <<'EOF'
+import json
+with open("build/BENCH_fleet_quick.json", encoding="utf-8") as f:
+    report = json.load(f)
+report["cpu_model"] = "a different CPU"
+report["identity_pass"] = False
+with open("build/BENCH_fleet_tampered.json", "w", encoding="utf-8") as f:
+    json.dump(report, f)
+EOF
+gate_status=0
+python3 scripts/perf_gate.py BENCH_fleet.json \
+  build/BENCH_fleet_tampered.json >/dev/null 2>&1 || gate_status=$?
+if [ "$gate_status" -ne 1 ]; then
+  echo "perf gate self-check FAILED: a flipped identity key on another" \
+    "host exited $gate_status, not 1" >&2
+  exit 1
+fi
 
 # --- 1c. gateway loopback soak smoke --------------------------------------
 echo "==== gateway soak smoke (gateway_ward: 8 clients + fault injection)"

@@ -20,8 +20,10 @@ Also gated, with the same warn-skip policy for missing keys:
 Comparability rules (the gate must never fail on numbers that were never
 comparable in the first place):
   - if either report's ``cpu_model`` is missing or "unknown", or the two
-    models differ, the gate SKIPS (exit 0) with a clear message — a baseline
-    recorded on one machine says nothing about another;
+    models differ, the timing and speedup keys are SKIPPED with a clear
+    message — a baseline recorded on one machine says nothing about
+    another's speed. ``*identity_pass`` keys do not depend on the host and
+    are gated whatever the CPU;
   - if either report says ``virtualized: true`` the tolerance is doubled and
     a notice is printed — VM timing is noisy even for CPU time;
   - keys present in only one report are listed but never fatal, so adding or
@@ -77,17 +79,12 @@ def main(argv):
 
     base_cpu = base.get("cpu_model", "unknown")
     fresh_cpu = fresh.get("cpu_model", "unknown")
-    if base_cpu == "unknown" or fresh_cpu == "unknown":
-        print("perf_gate: SKIP — cpu_model unknown "
-              f"(baseline: '{base_cpu}', fresh: '{fresh_cpu}'); "
-              "numbers are not comparable on an unidentified machine")
-        return 0
-    if base_cpu != fresh_cpu:
-        print("perf_gate: SKIP — baseline was recorded on a different CPU\n"
+    same_host = base_cpu == fresh_cpu and base_cpu != "unknown"
+    if not same_host:
+        print("perf_gate: timing and speedup keys SKIPPED — cpu_model "
+              "unknown or different; identity keys are still gated\n"
               f"  baseline: {base_cpu}\n  fresh:    {fresh_cpu}")
-        return 0
-
-    if base.get("virtualized") or fresh.get("virtualized"):
+    elif base.get("virtualized") or fresh.get("virtualized"):
         tolerance *= 2.0
         print(f"perf_gate: virtualized host — tolerance widened to "
               f"{tolerance:.0%}")
@@ -124,7 +121,7 @@ def main(argv):
             return False
         return True
 
-    shared = shared_keys("_ns_per_op")
+    shared = shared_keys("_ns_per_op") if same_host else []
     regressions = []
     for key in shared:
         b, f = base[key], fresh[key]
@@ -141,7 +138,7 @@ def main(argv):
     # Speedup ratios: higher is better, tolerance floored at 50% (parallel
     # speedups carry scheduler/core-count noise per-op CPU time does not).
     speedup_tol = max(tolerance, 0.5)
-    speedups = shared_keys("_speedup")
+    speedups = shared_keys("_speedup") if same_host else []
     for key in speedups:
         b, f = base[key], fresh[key]
         if not comparable(key, b, f):

@@ -1,15 +1,17 @@
 // Firmware-shaped streaming beat monitor.
 //
 // RealTimePipeline (core/pipeline.hpp) emulates the WBSN application over a
-// whole recorded lead at once; this class is the push-one-ADC-sample-at-a-
-// time equivalent with bounded memory, which is what actually runs on the
-// node: a block conditioner (kernels/dsp_condition.hpp) batches raw samples
-// and feeds a rolling analysis buffer of a few seconds; whenever the buffer
-// fills, the configured peak detector (wavelet by default, or the adaptive-
-// threshold fast path — see dsp::PeakDetectorKind) scans it, beats far
-// enough from the buffer's right edge are finalized, classified by the
-// embedded integer classifier and reported; the buffer then slides, keeping
-// one overlap region so no beat is lost at a chunk boundary.
+// whole recorded lead at once; this class is the streaming equivalent with
+// bounded memory, fed ADC codes in blocks of any size, which is what
+// actually runs on the node: a block conditioner
+// (kernels/dsp_condition.hpp) batches raw samples and feeds a rolling
+// analysis buffer of a few seconds; whenever the buffer fills, the
+// configured peak detector (wavelet by default, or the adaptive-threshold
+// fast path — see dsp::PeakDetectorKind) scans it, beats far enough from
+// the buffer's right edge are finalized and handed to the sink, which
+// classifies them with the embedded integer classifier; the buffer then
+// slides, keeping one overlap region so no beat is lost at a chunk
+// boundary.
 //
 // The monitor covers the classification sub-system (1) of the paper's
 // Fig. 6 — the decision *whether* a beat needs the detailed multi-lead
@@ -22,10 +24,9 @@
 // segments (lead-off, saturation) detection is suppressed entirely and the
 // conditioner plus rolling buffer are re-armed on recovery, so no stale
 // filter state or poisoned adaptive threshold touches the first beats
-// after a reconnect. The raw-ADC boundary itself is defended: the
-// push(double) overload rejects non-finite samples and both overloads
-// clamp out-of-range codes, with every intervention counted in
-// MonitorStats.
+// after a reconnect. The monitor takes integer ADC codes only (untrusted
+// doubles become codes in dsp::sanitize_sample() first) and clamps
+// out-of-range codes to the rails, counting each in MonitorStats.
 #pragma once
 
 #include <deque>
@@ -55,8 +56,7 @@ struct MonitorBeat {
 
 /// Cumulative acquisition/robustness counters (never reset by flush()).
 struct MonitorStats {
-  std::size_t samples_in = 0;         ///< raw samples offered to push()
-  std::size_t rejected_nonfinite = 0; ///< NaN/Inf dropped at the boundary
+  std::size_t samples_in = 0;         ///< codes offered to push_block()
   std::size_t clamped = 0;            ///< out-of-range codes clamped to rails
   std::size_t bad_signal_samples = 0; ///< samples discarded while Bad
   std::size_t suspect_beats = 0;      ///< beats escalated to Unknown
@@ -82,25 +82,23 @@ struct MonitorConfig {
   bool quality_gating = true;
 };
 
-/// Receives each finalized beat as soon as the monitor commits to it.
-using BeatSink = std::function<void(const MonitorBeat&)>;
-
-/// A finalized beat whose classification has been *deferred*: the hook the
-/// fleet service layer (src/service) uses to batch beat windows across many
-/// sessions into one core::BeatBatch and classify them centrally.
+/// A finalized beat whose classification is left to the sink: classify it
+/// in place with StreamingBeatMonitor::classify(), or batch the window
+/// across many sessions into one core::BeatBatch (the fleet service layer,
+/// src/service).
 ///
 /// When `needs_classification` is true, `window` views the monitor's rolling
 /// buffer (window_before + window_after samples around the R peak) and is
 /// valid only for the duration of the sink call — copy it out. When false
 /// the monitor has already decided (Suspect signal escalates straight to
-/// Unknown, exactly as on the BeatSink path) and `window` is empty.
+/// Unknown) and `window` is empty.
 struct PendingBeat {
   MonitorBeat beat;
   std::span<const dsp::Sample> window;
   bool needs_classification = false;
 };
 
-/// Receives each finalized-but-unclassified beat (see PendingBeat).
+/// Receives each finalized beat (see PendingBeat).
 using PendingBeatSink = std::function<void(const PendingBeat&)>;
 
 class StreamingBeatMonitor {
@@ -108,47 +106,23 @@ class StreamingBeatMonitor {
   StreamingBeatMonitor(embedded::EmbeddedClassifier classifier,
                        MonitorConfig cfg = {});
 
-  /// Feeds one raw ADC sample; every beat finalized by this sample (usually
-  /// none, occasionally a handful when a chunk completes) is delivered to
-  /// `sink` in report order. No per-sample allocation on the steady-state
-  /// path — this is the firmware-shaped entry point.
-  void push(dsp::Sample x, const BeatSink& sink);
-
-  /// Untrusted raw front-end entry point: rejects non-finite values and
-  /// clamps the rest into the ADC range before the integer path sees them.
-  void push(double x, const BeatSink& sink);
-
-  /// Block entry points: feed a contiguous run of samples. Exactly
-  /// equivalent to pushing each sample in order — same beats, same order,
-  /// same stats — but the natural shape for batch producers (drain queues,
-  /// record replay) now that the conditioner itself works in blocks.
-  void push_block(std::span<const dsp::Sample> xs, const BeatSink& sink);
-  void push_block(std::span<const double> xs, const BeatSink& sink);
-  void push_block(std::span<const dsp::Sample> xs, const PendingBeatSink& sink);
-  void push_block(std::span<const double> xs, const PendingBeatSink& sink);
+  /// Feeds a contiguous run of raw ADC codes; every beat finalized by them
+  /// is delivered to `sink` in report order. The beat stream and the stats
+  /// do not depend on how a stream is split into blocks (one sample at a
+  /// time included). No per-sample allocation on the steady-state path.
+  void push_block(std::span<const dsp::Sample> xs,
+                  const PendingBeatSink& sink);
 
   /// Finalizes everything still buffered into `sink` and resets the monitor
   /// (the cumulative stats() survive).
-  void flush(const BeatSink& sink);
-
-  /// Deferred-classification variants of push/flush: beats that would have
-  /// been classified are surrendered as PendingBeat windows instead, so a
-  /// host-side aggregator can batch them across sessions. Beat order,
-  /// quality tagging and the Suspect ⇒ Unknown escalation are identical to
-  /// the BeatSink path; running the embedded classifier over each emitted
-  /// window reproduces that path bit-exactly.
-  void push(dsp::Sample x, const PendingBeatSink& sink);
-  void push(double x, const PendingBeatSink& sink);
   void flush(const PendingBeatSink& sink);
 
-  /// Vector-returning convenience wrapper over push(x, sink).
-  std::vector<MonitorBeat> push(dsp::Sample x);
-
-  /// Vector-returning convenience wrapper over push(x, sink).
-  std::vector<MonitorBeat> push(double x);
-
-  /// Vector-returning convenience wrapper over flush(sink).
-  std::vector<MonitorBeat> flush();
+  /// Classifies a pending beat in place with the member classifier through
+  /// the member scratch and, when attached, feeds its projection to the
+  /// drift tracker. Beats that need no classification (Suspect) come back
+  /// unchanged and are not observed. Call it from the sink, while the
+  /// window is valid.
+  MonitorBeat classify(const PendingBeat& pb);
 
   /// Worst-case number of samples held across all internal state.
   std::size_t memory_samples() const;
@@ -176,42 +150,31 @@ class StreamingBeatMonitor {
     classifier_ = classifier;
   }
 
-  /// Opt-in drift hook (non-owning, nullptr detaches): every beat the
-  /// monitor classifies itself is observed through the projection already
-  /// sitting in the classify scratch — zero extra projection cost. Beats
-  /// surrendered through a PendingBeatSink are NOT observed here (their
-  /// projection happens in the aggregator's batch; see service::Session),
-  /// and Suspect beats are skipped on both paths — they were never
-  /// projected, and doubtful signal must not teach the clusterer. The
-  /// tracker must outlive the monitor or be detached first.
+  /// Opt-in drift hook (non-owning, nullptr detaches): every beat passed
+  /// through classify() is observed through the projection already sitting
+  /// in the classify scratch — zero extra projection cost. Beats a sink
+  /// classifies elsewhere (the aggregator's batch; see service::Session)
+  /// are NOT observed here, and Suspect beats are never observed — they
+  /// were never projected, and doubtful signal must not teach the
+  /// clusterer. The tracker must outlive the monitor or be detached first.
   void set_drift_tracker(drift::DriftTracker* tracker) { drift_ = tracker; }
   drift::DriftTracker* drift_tracker() const { return drift_; }
 
  private:
-  // Exactly one of `beats` / `pending` is non-null: the classifying sink and
-  // the deferred sink share one implementation of the whole scan/gating
-  // machinery so the two paths cannot drift apart.
-  void push_impl(dsp::Sample x, const BeatSink* beats,
-                 const PendingBeatSink* pending);
-  void push_impl(double x, const BeatSink* beats,
-                 const PendingBeatSink* pending);
-  void flush_impl(const BeatSink* beats, const PendingBeatSink* pending);
-  void scan(bool final_pass, const BeatSink* beats,
-            const PendingBeatSink* pending);
-  void on_quality_update(dsp::SignalQuality next, const BeatSink* beats,
-                         const PendingBeatSink* pending);
+  void push_impl(dsp::Sample x, const PendingBeatSink& sink);
+  void scan(bool final_pass, const PendingBeatSink& sink);
+  void on_quality_update(dsp::SignalQuality next, const PendingBeatSink& sink);
   dsp::SignalQuality quality_at(std::size_t absolute) const;
   void rearm(std::size_t at_absolute);
   /// Moves cond_out_ into the rolling buffer, scanning at every exact
   /// chunk-boundary crossing — the same scan positions the per-sample
   /// conditioner produced, so verdict streams are unchanged by batching.
-  void append_conditioned(const BeatSink* beats,
-                          const PendingBeatSink* pending);
+  void append_conditioned(const PendingBeatSink& sink);
   /// Drains the conditioner's pending batch through append_conditioned().
-  void sync_conditioner(const BeatSink* beats, const PendingBeatSink* pending);
+  void sync_conditioner(const PendingBeatSink& sink);
 
   embedded::EmbeddedClassifier classifier_;
-  // Reused across beats on the classifying path (no per-beat allocation).
+  // Reused across classify() calls (no per-beat allocation).
   embedded::ClassifyScratch classify_scratch_;
   drift::DriftTracker* drift_ = nullptr;  // opt-in, non-owning
   MonitorConfig cfg_;
@@ -229,7 +192,6 @@ class StreamingBeatMonitor {
   // Degradation machine (see header comment).
   dsp::SignalQuality quality_state_ = dsp::SignalQuality::Good;
   std::size_t input_index_ = 0;  // raw samples accepted onto the timeline
-  dsp::Sample last_raw_ = 0;     // sample-hold value for rejected inputs
   bool needs_rearm_ = false;     // recovery pending: restart timeline anchors
   // Sparse (absolute index, state-from-there) history so beats finalized
   // several seconds later are tagged with the quality at *their* position.

@@ -18,6 +18,33 @@ std::size_t frac_count(double frac, std::size_t chunk) {
 
 }  // namespace
 
+Sample rail_midpoint(const QualityConfig& rails) {
+  return static_cast<Sample>(
+      (static_cast<std::int64_t>(rails.rail_low) + rails.rail_high) / 2);
+}
+
+Sample sanitize_sample(double x, const QualityConfig& rails, Sample& last,
+                       std::uint64_t* nonfinite_count) {
+  if (!std::isfinite(x)) {
+    if (nonfinite_count != nullptr) ++*nonfinite_count;
+    return last;
+  }
+  const double clamped =
+      std::clamp(x, static_cast<double>(rails.rail_low),
+                 static_cast<double>(rails.rail_high));
+  last = static_cast<Sample>(std::lround(clamped));
+  return last;
+}
+
+std::vector<Sample> sanitize_samples(std::span<const double> xs,
+                                     const QualityConfig& rails) {
+  std::vector<Sample> codes;
+  codes.reserve(xs.size());
+  Sample last = rail_midpoint(rails);
+  for (const double x : xs) codes.push_back(sanitize_sample(x, rails, last));
+  return codes;
+}
+
 SignalQualityEstimator::SignalQualityEstimator(const QualityConfig& cfg)
     : cfg_(cfg) {
   HBRP_REQUIRE(cfg.fs_hz > 0, "SignalQualityEstimator: fs_hz must be > 0");

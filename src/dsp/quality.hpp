@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "dsp/signal.hpp"
 
@@ -80,6 +82,24 @@ struct QualityConfig {
   /// Consecutive clean chunks required to step one state toward Good.
   int recover_chunks = 2;
 };
+
+/// Midpoint of the ADC rails: the sample-hold code before the first finite
+/// input.
+Sample rail_midpoint(const QualityConfig& rails);
+
+/// The one boundary where untrusted double samples become ADC codes.
+/// Non-finite input repeats `last` (the caller-owned sample-hold code, which
+/// starts at rail_midpoint()) and bumps `*nonfinite_count` when given: the
+/// timeline keeps its cadence and a sustained burst flat-lines into
+/// something the SQI estimator degrades on. Everything else is clamped to
+/// the rails, rounded with lround, and becomes the new `last`.
+Sample sanitize_sample(double x, const QualityConfig& rails, Sample& last,
+                       std::uint64_t* nonfinite_count = nullptr);
+
+/// sanitize_sample() over a whole stream, with the hold starting at
+/// rail_midpoint().
+std::vector<Sample> sanitize_samples(std::span<const double> xs,
+                                     const QualityConfig& rails = {});
 
 /// Integer summary of one graded chunk (exposed for tests and telemetry).
 struct QualityMetrics {

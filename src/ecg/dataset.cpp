@@ -4,8 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "dsp/morphology.hpp"
 #include "dsp/resample.hpp"
+#include "kernels/dsp_condition.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
 #include "math/rng.hpp"
 
@@ -95,6 +96,10 @@ BeatDataset build_dataset(const DatasetSpec& spec,
   math::Rng rng(cfg.seed);
   const auto filter_cfg = dsp::FilterConfig::for_rate(dsp::kMitBihFs);
   const dsp::PeakDetectorConfig det_cfg;
+  // The serving path's kernels, so training and serving cut beat windows
+  // with the same code.
+  kernels::ConditionScratch cond_scratch;
+  kernels::PeakScratch peak_scratch;
 
   // Beats too close to the record edge would have heavily clamped windows.
   const std::size_t edge_guard =
@@ -115,14 +120,14 @@ BeatDataset build_dataset(const DatasetSpec& spec,
 
     // Lead 0 is the reference for peak detection; all leads contribute
     // window samples.
-    std::vector<dsp::Signal> conditioned_leads;
-    conditioned_leads.reserve(rec.leads.size());
-    for (const dsp::Signal& lead : rec.leads)
-      conditioned_leads.push_back(dsp::condition_ecg(lead, filter_cfg));
+    std::vector<dsp::Signal> conditioned_leads(rec.leads.size());
+    for (std::size_t l = 0; l < rec.leads.size(); ++l)
+      kernels::condition_ecg_block(rec.leads[l], filter_cfg, cond_scratch,
+                                   conditioned_leads[l]);
     const dsp::Signal& conditioned = conditioned_leads[0];
     std::vector<std::size_t> peaks;
     if (cfg.use_detected_peaks) {
-      peaks = dsp::detect_r_peaks(conditioned, det_cfg);
+      kernels::detect_r_peaks_kind(conditioned, det_cfg, peak_scratch, peaks);
     } else {
       peaks.reserve(rec.beats.size());
       for (const BeatAnnotation& ann : rec.beats) peaks.push_back(ann.sample);

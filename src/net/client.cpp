@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 
 #include "ecg/types.hpp"
@@ -25,7 +24,9 @@ const char* to_string(LinkState s) {
 
 SensorNodeClient::SensorNodeClient(embedded::EmbeddedClassifier classifier,
                                    NodeConfig cfg)
-    : classifier_(std::move(classifier)), cfg_(std::move(cfg)) {
+    : classifier_(std::move(classifier)),
+      cfg_(std::move(cfg)),
+      last_code_(dsp::rail_midpoint(cfg_.monitor.quality)) {
   HBRP_REQUIRE(cfg_.port != 0, "SensorNodeClient: gateway port is required");
   HBRP_REQUIRE(cfg_.chunk_samples >= 1 &&
                    cfg_.chunk_samples <= kMaxChunkSamples,
@@ -49,31 +50,20 @@ dsp::Sample SensorNodeClient::sanitize(double x,
                                        const dsp::QualityConfig& rails,
                                        dsp::Sample& last,
                                        std::uint64_t* nonfinite_count) {
-  if (!std::isfinite(x)) {
-    // Sample-hold, exactly like StreamingBeatMonitor's untrusted boundary:
-    // the timeline keeps its cadence and a sustained burst flat-lines into
-    // something the SQI estimator degrades on.
-    if (nonfinite_count != nullptr) ++*nonfinite_count;
-    return last;
-  }
-  const double clamped =
-      std::clamp(x, static_cast<double>(rails.rail_low),
-                 static_cast<double>(rails.rail_high));
-  last = static_cast<dsp::Sample>(std::lround(clamped));
-  return last;
+  return dsp::sanitize_sample(x, rails, last, nonfinite_count);
 }
 
 void SensorNodeClient::push(dsp::Sample x) {
   ++stats_.samples_in;
   if (monitor_.has_value())
-    monitor_->push(x, pending_sink_);
+    monitor_->push_block(std::span<const dsp::Sample>(&x, 1), pending_sink_);
   else
     stage_stream_sample(x);
 }
 
 void SensorNodeClient::push(double x) {
-  push(sanitize(x, cfg_.monitor.quality, last_code_,
-                &stats_.sanitized_nonfinite));
+  push(dsp::sanitize_sample(x, cfg_.monitor.quality, last_code_,
+                            &stats_.sanitized_nonfinite));
 }
 
 void SensorNodeClient::push(std::span<const dsp::Sample> xs) {

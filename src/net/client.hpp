@@ -158,11 +158,10 @@ class SensorNodeClient {
   void set_verdict_sink(VerdictSink sink) { on_verdict_ = std::move(sink); }
 
   /// Feeds ADC samples into the node pipeline (policy-dependent fate).
-  /// The double overload sanitizes exactly like the monitor's untrusted
-  /// boundary: non-finite is replaced by the last accepted code
-  /// (sample-hold), everything else is clamped to the ADC rails — so the
-  /// codes on the wire equal the codes a direct in-process monitor would
-  /// have accepted.
+  /// The double overloads are the node's sanitizing boundary: each value
+  /// goes through dsp::sanitize_sample() with the node's own sample-hold
+  /// code (starting at the rail midpoint), so the codes on the wire equal
+  /// dsp::sanitize_samples() over the same stream.
   void push(dsp::Sample x);
   void push(double x);
   void push(std::span<const dsp::Sample> xs);
@@ -199,9 +198,8 @@ class SensorNodeClient {
   std::size_t pending_bytes() const;
   std::size_t unacked_full_beats() const { return unacked_.size(); }
 
-  /// The sanitization rule of the double path, exposed so tests and
-  /// benches can precompute the exact code stream that will cross the
-  /// wire. `last` carries the sample-hold state across calls.
+  /// Forwards to dsp::sanitize_sample(), the sanitization rule of the
+  /// double path. `last` carries the sample-hold state across calls.
   static dsp::Sample sanitize(double x, const dsp::QualityConfig& rails,
                               dsp::Sample& last,
                               std::uint64_t* nonfinite_count);
@@ -250,7 +248,7 @@ class SensorNodeClient {
 
   // Ingest staging (stream mode) and the double-path sample-hold state.
   std::vector<dsp::Sample> stage_;
-  dsp::Sample last_code_ = 0;
+  dsp::Sample last_code_;
   bool finished_ = false;
 
   // Send side.

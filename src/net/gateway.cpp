@@ -119,7 +119,8 @@ struct GatewayServer::Conn {
   std::uint32_t push_chunk = 0;
   std::vector<unsigned char> push_buf;
   /// Decoded samples the session queue has not accepted yet (Block
-  /// backpressure); while non-empty the socket is not read.
+  /// backpressure); while non-empty the socket is not read and the frames
+  /// behind them wait in the parser.
   std::vector<dsp::Sample> inbound;
   std::vector<dsp::Sample> window_scratch;
   Clock::time_point last_rx;
@@ -193,9 +194,6 @@ std::string GatewayServer::reactors_json() const {
     const Reactor& r = *reactors_[i];
     out += i == 0 ? "{" : ", {";
     append_field(out, "reactor", i, /*first=*/true);
-    out += ", \"backend\": \"";
-    out += r.poller.backend();
-    out += '"';
     append_field(out, "conns_open",
                  r.conns_open.load(std::memory_order_relaxed));
     append_field(out, "frames_rx",
@@ -683,28 +681,31 @@ void GatewayServer::read_conn(Conn& c) {
         close_conn(c, false);
         return;
       }
-      FrameView f;
-      auto st = FrameParser::Status::NeedMore;
-      while (c.alive && !c.draining) {
-        st = c.parser.next(f);
-        if (st != FrameParser::Status::Ok) break;
-        stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-        c.owner->frames_rx.fetch_add(1, std::memory_order_relaxed);
-        dispatch(c, f);
-      }
+      dispatch_buffered(c);
       if (!c.alive) return;
-      if (st == FrameParser::Status::Corrupt) {
-        stats_.frame_rejects.fetch_add(1, std::memory_order_relaxed);
-        stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
-        close_conn(c, false);
-        return;
-      }
       continue;
     }
     if (r.would_block) return;
     // EOF without BYE or a hard error: the peer is gone; no tail.
     close_conn(c, false);
     return;
+  }
+}
+
+void GatewayServer::dispatch_buffered(Conn& c) {
+  FrameView f;
+  while (c.alive && !c.draining && c.inbound.empty()) {
+    const FrameParser::Status st = c.parser.next(f);
+    if (st == FrameParser::Status::NeedMore) return;
+    if (st == FrameParser::Status::Corrupt) {
+      stats_.frame_rejects.fetch_add(1, std::memory_order_relaxed);
+      stats_.conns_dropped_protocol.fetch_add(1, std::memory_order_relaxed);
+      close_conn(c, false);
+      return;
+    }
+    stats_.frames_rx.fetch_add(1, std::memory_order_relaxed);
+    c.owner->frames_rx.fetch_add(1, std::memory_order_relaxed);
+    dispatch(c, f);
   }
 }
 
@@ -742,12 +743,14 @@ std::size_t GatewayServer::step_reactor(Reactor& r, int timeout_ms) {
   // Phase -1: adopt connections reactor 0 handed over since last step.
   adopt_inbox(r);
 
-  // Phase 0: retry ingest parked by backpressure (pump freed queue space).
+  // Phase 0: retry ingest parked by backpressure (pump freed queue space),
+  // then resume the frames that waited in the parser behind it.
   bool parked = false;
   for (auto& c : r.conns) {
     if (!c->alive || c->inbound.empty()) continue;
     offer_samples(*c);
-    if (!c->inbound.empty()) parked = true;
+    dispatch_buffered(*c);
+    if (c->alive && !c->inbound.empty()) parked = true;
   }
 
   // Phase 1: declare interest and wait for readiness. A reactor with

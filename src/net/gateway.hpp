@@ -252,6 +252,10 @@ class GatewayServer {
   void adopt_conn(Reactor& r, Socket s);
   void accept_pending();
   void read_conn(Conn& c);
+  /// Dispatches the frames already buffered in the parser, stopping while
+  /// samples are parked in Conn::inbound: a BYE behind them must not close
+  /// the session before they are offered.
+  void dispatch_buffered(Conn& c);
   void dispatch(Conn& c, const FrameView& f);
   void on_hello(Conn& c, const FrameView& f);
   void on_sample_chunk(Conn& c, const FrameView& f);

@@ -2,18 +2,12 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include "math/check.hpp"
 
@@ -146,21 +140,11 @@ bool connect_finished(int fd) {
   return err == 0;
 }
 
-EventPoller::EventPoller() {
-#ifdef __linux__
-  // HBRP_NET_POLL=1 pins the poll(2) fallback so CI exercises both
-  // backends on Linux hosts; anything else (or unset) takes epoll.
-  const char* force = std::getenv("HBRP_NET_POLL");
-  if (force == nullptr || force[0] != '1')
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-#endif
+EventPoller::EventPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  HBRP_REQUIRE(epfd_ >= 0, "socket: cannot create epoll instance");
 }
 
-EventPoller::~EventPoller() {
-#ifdef __linux__
-  if (epfd_ >= 0) ::close(epfd_);
-#endif
-}
+EventPoller::~EventPoller() { ::close(epfd_); }
 
 void EventPoller::watch(int fd, bool read, bool write) {
   if (fd < 0) return;
@@ -172,16 +156,12 @@ void EventPoller::watch(int fd, bool read, bool write) {
   if (it != interest_.end() && it->second.read == read &&
       it->second.write == write)
     return;  // steady state: no syscall, no map churn
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    const int op = it == interest_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    if (::epoll_ctl(epfd_, op, fd, &ev) != 0 && errno == ENOENT)
-      (void)::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-#endif
+  epoll_event ev{};
+  ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  const int op = it == interest_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
+  if (::epoll_ctl(epfd_, op, fd, &ev) != 0 && errno == ENOENT)
+    (void)::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
   interest_[fd] = Interest{read, write};
 }
 
@@ -189,50 +169,23 @@ void EventPoller::unwatch(int fd) {
   if (fd < 0) return;
   const auto it = interest_.find(fd);
   if (it == interest_.end()) return;
-#ifdef __linux__
-  if (epfd_ >= 0) (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+  (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   interest_.erase(it);
 }
 
 std::size_t EventPoller::wait(int timeout_ms, std::vector<PollEvent>& out) {
   out.clear();
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    // 256 events per wait is plenty: level-triggered epoll re-reports
-    // anything not consumed on the next wait, so a burst larger than the
-    // batch just takes extra rounds, never loses readiness.
-    epoll_event evs[256];
-    const int n = ::epoll_wait(epfd_, evs, 256, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      PollEvent e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & EPOLLIN) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.broken = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(interest_.size());
-  for (const auto& [fd, in] : interest_) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = static_cast<short>((in.read ? POLLIN : 0) |
-                                  (in.write ? POLLOUT : 0));
-    fds.push_back(p);
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (n <= 0) return 0;
-  for (const pollfd& p : fds) {
-    if (p.revents == 0) continue;
+  // 256 events per wait is plenty: level-triggered epoll re-reports
+  // anything not consumed on the next wait, so a burst larger than the
+  // batch just takes extra rounds, never loses readiness.
+  epoll_event evs[256];
+  const int n = ::epoll_wait(epfd_, evs, 256, timeout_ms);
+  for (int i = 0; i < n; ++i) {
     PollEvent e;
-    e.fd = p.fd;
-    e.readable = (p.revents & POLLIN) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.broken = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    e.fd = evs[i].data.fd;
+    e.readable = (evs[i].events & EPOLLIN) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.broken = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     out.push_back(e);
   }
   return out.size();

@@ -86,20 +86,17 @@ struct PollEvent {
   int fd = -1;
   bool readable = false;
   bool writable = false;
-  /// POLLERR/POLLNVAL/EPOLLERR, or POLLHUP/EPOLLHUP: the fd is dead or the
-  /// peer is gone — a reactor should read (to drain the EOF) or close.
+  /// EPOLLERR or EPOLLHUP: the fd is dead or the peer is gone — a reactor
+  /// should read (to drain the EOF) or close.
   bool broken = false;
 };
 
-/// Level-triggered readiness multiplexer: epoll(7) on Linux, a poll(2)
-/// fallback elsewhere — and on Linux too when HBRP_NET_POLL=1 is set, so
-/// both backends stay gated by the same tests on one host. The backend is
-/// chosen once at construction.
+/// Level-triggered epoll(7) readiness multiplexer (the project is
+/// Linux-only).
 ///
 /// Single-owner, like everything in a reactor: one thread constructs it,
-/// watches fds, and waits. The O(watched) interest rebuild of the poll
-/// fallback is the thing epoll removes at high session counts; the API is
-/// the intersection of the two so a reactor never branches on backend.
+/// watches fds, and waits. The interest map mirrors the kernel set so a
+/// steady-state watch() costs no syscall.
 class EventPoller {
  public:
   EventPoller();
@@ -118,7 +115,6 @@ class EventPoller {
   std::size_t wait(int timeout_ms, std::vector<PollEvent>& out);
 
   std::size_t watched() const { return interest_.size(); }
-  const char* backend() const { return epfd_ >= 0 ? "epoll" : "poll"; }
 
  private:
   struct Interest {
@@ -126,7 +122,7 @@ class EventPoller {
     bool write = false;
   };
   std::map<int, Interest> interest_;
-  int epfd_ = -1;  ///< -1 = poll(2) fallback
+  int epfd_ = -1;
 };
 
 /// Self-pipe wakeup for reactor threads: any thread may notify(), the

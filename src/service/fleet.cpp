@@ -175,9 +175,8 @@ const SessionModel* FleetEngine::session_model(SessionId id) const {
   return it == sessions_.end() ? nullptr : &it->second->model();
 }
 
-template <typename T>
-OfferOutcome FleetEngine::offer_impl(SessionId id,
-                                     std::span<const T> samples) {
+OfferOutcome FleetEngine::offer(SessionId id,
+                                std::span<const dsp::Sample> samples) {
   const std::shared_lock<std::shared_mutex> lock(registry_mutex_);
   const auto it = sessions_.find(id);
   OfferOutcome out;
@@ -211,16 +210,6 @@ OfferOutcome FleetEngine::offer_impl(SessionId id,
                           std::memory_order_relaxed);
   }
   return out;
-}
-
-OfferOutcome FleetEngine::offer(SessionId id,
-                                std::span<const double> samples) {
-  return offer_impl(id, samples);
-}
-
-OfferOutcome FleetEngine::offer(SessionId id,
-                                std::span<const dsp::Sample> samples) {
-  return offer_impl(id, samples);
 }
 
 std::size_t FleetEngine::pump_shard_body(std::size_t s) {

@@ -112,12 +112,9 @@ class FleetEngine {
   /// delivers the tail in order, and frees the slot. False if unknown.
   bool close_session(SessionId id);
 
-  /// Enqueues raw samples for `id`, applying fleet admission control and
-  /// the session's backpressure policy. The double overload is the
-  /// untrusted front-end boundary (non-finite samples survive the queue
-  /// and are sanitized by the monitor); the integer overload enqueues
-  /// directly, with no intermediate double buffer. Safe from any thread.
-  OfferOutcome offer(SessionId id, std::span<const double> samples);
+  /// Enqueues ADC codes for `id`, applying fleet admission control and
+  /// the session's backpressure policy. Untrusted doubles become codes in
+  /// dsp::sanitize_samples() first. Safe from any thread.
   OfferOutcome offer(SessionId id, std::span<const dsp::Sample> samples);
 
   /// Runs one whole-fleet scheduling round — every shard body, through the
@@ -186,10 +183,6 @@ class FleetEngine {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  /// Shared body of the two offer() overloads (defined in fleet.cpp).
-  template <typename T>
-  OfferOutcome offer_impl(SessionId id, std::span<const T> samples);
-
   struct Shard {
     explicit Shard(std::size_t window_length) : batch(window_length) {}
     /// Serializes pump bodies on this shard (distinct shards run freely).

@@ -44,9 +44,9 @@ void Session::reseed_drift() {
       model_->centroids != nullptr ? model_->centroids : cfg_.drift_centroids;
   if (seeds != nullptr) {
     drift_.emplace(*seeds, cfg_.drift);
-    // The hook only fires on the monitor's own classifying path — the
-    // close() tail here. Pump-round beats go through the PendingBeatSink
-    // and are observed in deliver(), so no beat is counted twice.
+    // The hook only fires in monitor_.classify() — the close() tail here.
+    // Pump-round beats are batch-classified and observed in deliver(), so
+    // no beat is counted twice.
     monitor_.set_drift_tracker(&*drift_);
   } else {
     monitor_.set_drift_tracker(nullptr);
@@ -86,8 +86,7 @@ std::size_t Session::queued() const {
   return queue_.size();
 }
 
-template <typename T>
-OfferOutcome Session::enqueue(std::span<const T> samples,
+OfferOutcome Session::enqueue(std::span<const dsp::Sample> samples,
                               Clock::time_point now,
                               std::ptrdiff_t* queue_delta) {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -97,7 +96,7 @@ OfferOutcome Session::enqueue(std::span<const T> samples,
   telemetry_.samples_offered.fetch_add(n, std::memory_order_relaxed);
 
   std::size_t free = cfg_.queue_capacity - queue_.size();
-  std::span<const T> accept = samples;
+  std::span<const dsp::Sample> accept = samples;
   switch (cfg_.backpressure) {
     case BackpressurePolicy::Block: {
       const std::size_t take = std::min(n, free);
@@ -155,15 +154,6 @@ OfferOutcome Session::enqueue(std::span<const T> samples,
   return out;
 }
 
-// The two producer-facing element types: the untrusted double front end and
-// trusted integer-sample producers (no intermediate double copy).
-template OfferOutcome Session::enqueue<double>(std::span<const double>,
-                                               Clock::time_point,
-                                               std::ptrdiff_t*);
-template OfferOutcome Session::enqueue<dsp::Sample>(std::span<const dsp::Sample>,
-                                                    Clock::time_point,
-                                                    std::ptrdiff_t*);
-
 std::size_t Session::begin_drain() {
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   const std::size_t take = std::min(cfg_.max_samples_per_pump, queue_.size());
@@ -216,7 +206,7 @@ void Session::process_drained(core::BeatBatch& shard_batch) {
         end = static_cast<std::size_t>(upto - drain_base_);
     }
     monitor_.push_block(
-        std::span<const double>(drain_buf_.data() + i, end - i), sink);
+        std::span<const dsp::Sample>(drain_buf_.data() + i, end - i), sink);
     i = end;
   }
   telemetry_.samples_processed.fetch_add(drain_buf_.size(),
@@ -275,8 +265,6 @@ void Session::mirror_monitor_stats() {
                                     std::memory_order_relaxed);
   telemetry_.sqi_recoveries.store(stats.recoveries,
                                   std::memory_order_relaxed);
-  telemetry_.nonfinite_rejected.store(stats.rejected_nonfinite,
-                                      std::memory_order_relaxed);
 }
 
 void Session::mirror_drift() {
@@ -309,13 +297,13 @@ std::size_t Session::close() {
     stamps_.clear();
     front_pos_ += removed;
   }
-  // The close path classifies serially through the monitor's own sink —
-  // the tail is tiny and there is no batch to share with other sessions.
+  // The close path classifies each beat in place through the monitor — the
+  // tail is tiny and there is no batch to share with other sessions.
   const Clock::time_point now = Clock::now();
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
-    deliver_one(b, now);
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    deliver_one(monitor_.classify(pb), now);
   };
-  monitor_.push_block(std::span<const double>(drain_buf_), sink);
+  monitor_.push_block(drain_buf_, sink);
   telemetry_.samples_processed.fetch_add(drain_buf_.size(),
                                          std::memory_order_relaxed);
   drain_buf_.clear();

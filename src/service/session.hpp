@@ -2,7 +2,7 @@
 //
 // A Session owns everything that is per-patient: the fault-tolerant
 // StreamingBeatMonitor (with its own SQI/degradation state), a bounded
-// MPSC ingest queue of raw samples with an explicit backpressure policy,
+// MPSC ingest queue of ADC codes with an explicit backpressure policy,
 // the monotonically sequenced result log, and the session's telemetry
 // counters. Producers (radio threads, replay harnesses) call
 // FleetEngine::offer() from any thread; the engine's pump() drains each
@@ -168,13 +168,9 @@ class Session {
   /// `queue_delta` receives the net change in queue depth (accepted minus
   /// samples evicted *from the queue* — DropOldest may also count incoming
   /// samples as evicted, which never touch the queue), so the engine can
-  /// maintain the fleet-wide gauge exactly. Templated over the element type
-  /// (double for the untrusted front end, dsp::Sample for trusted integer
-  /// producers) so neither path copies into a temporary buffer first;
-  /// explicit instantiations live in session.cpp.
-  template <typename T>
-  OfferOutcome enqueue(std::span<const T> samples, Clock::time_point now,
-                       std::ptrdiff_t* queue_delta);
+  /// maintain the fleet-wide gauge exactly.
+  OfferOutcome enqueue(std::span<const dsp::Sample> samples,
+                       Clock::time_point now, std::ptrdiff_t* queue_delta);
   /// Moves up to max_samples_per_pump queued samples (and their arrival
   /// stamps) into the drain buffers; returns how many.
   std::size_t begin_drain();
@@ -192,9 +188,10 @@ class Session {
   std::size_t deliver(std::span<const ecg::BeatClass> shard_classes,
                       std::span<const std::int32_t> shard_u,
                       std::size_t coefficients);
-  /// Drains whatever is still queued through the classifying path, flushes
-  /// the monitor tail and delivers everything; returns the number of
-  /// queued samples consumed (for the fleet-wide gauge).
+  /// Drains whatever is still queued through the monitor, classifying each
+  /// beat in place, flushes the monitor tail and delivers everything;
+  /// returns the number of queued samples consumed (for the fleet-wide
+  /// gauge).
   std::size_t close();
 
   void deliver_one(const core::MonitorBeat& beat, Clock::time_point enq);
@@ -243,7 +240,7 @@ class Session {
   // stamps_ maps absolute index ranges (everything up to `upto`) to the
   // offer arrival time, compressed to one entry per offer call.
   mutable std::mutex queue_mutex_;
-  std::deque<double> queue_;
+  std::deque<dsp::Sample> queue_;
   struct Stamp {
     std::uint64_t upto = 0;
     Clock::time_point at;
@@ -253,7 +250,7 @@ class Session {
   std::uint64_t front_pos_ = 0;
 
   // Drain buffers, touched only by the owning pump shard.
-  std::vector<double> drain_buf_;
+  std::vector<dsp::Sample> drain_buf_;
   std::vector<Stamp> drain_stamps_;
   std::uint64_t drain_base_ = 0;
   std::vector<Pending> pending_;

@@ -88,7 +88,6 @@ std::string SessionTelemetry::json(std::uint64_t id,
   append_field(out, "suspect_beats", load(suspect_beats));
   append_field(out, "sqi_degradations", load(sqi_degradations));
   append_field(out, "sqi_recoveries", load(sqi_recoveries));
-  append_field(out, "nonfinite_rejected", load(nonfinite_rejected));
   append_field(out, "drift_beats", load(drift_beats));
   append_field(out, "drift_novel_beats", load(drift_novel_beats));
   append_field(out, "drift_alarms", load(drift_alarms));

@@ -74,7 +74,6 @@ struct SessionTelemetry {
   /// Mirrored from core::MonitorStats after each pump round.
   std::atomic<std::uint64_t> sqi_degradations{0};
   std::atomic<std::uint64_t> sqi_recoveries{0};
-  std::atomic<std::uint64_t> nonfinite_rejected{0};
   /// Mirrored from the session's drift::DriftTracker after each pump
   /// round; all zero when drift tracking is disabled.
   std::atomic<std::uint64_t> drift_beats{0};
@@ -141,7 +140,9 @@ struct FleetTelemetry {
 /// version 3 added the pump phase timers, the per-shard rollup array and
 /// the fleet-wide beat-latency histogram; version 4 added the model
 /// lifecycle fields (per-session model_version/swap_count, fleet
-/// swaps_staged/swaps_applied, gateway bundle-push counters).
-inline constexpr std::uint64_t kTelemetrySchemaVersion = 4;
+/// swaps_staged/swaps_applied, gateway bundle-push counters); version 5
+/// dropped the per-session nonfinite_rejected field (sessions take
+/// sanitized integer codes only).
+inline constexpr std::uint64_t kTelemetrySchemaVersion = 5;
 
 }  // namespace hbrp::service

@@ -10,7 +10,7 @@
 //
 // The injector emits `double` samples: that is the only way to represent
 // the NaN/Inf fault class, and it mirrors the untrusted raw-ADC boundary
-// the monitor's sanitizing push(double) overload defends.
+// that dsp::sanitize_sample() defends.
 #pragma once
 
 #include <cstddef>

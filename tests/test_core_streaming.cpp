@@ -1,5 +1,6 @@
 // Tests for the streaming beat monitor: agreement with the batch pipeline,
-// chunk-boundary behaviour, memory/latency bounds.
+// chunk-boundary behaviour, memory/latency bounds, and a golden digest of
+// the verdict stream.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -10,12 +11,17 @@
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
 #include "math/check.hpp"
+#include "math/rng.hpp"
+#include "monitor_helpers.hpp"
+#include "testing/fault_inject.hpp"
 
 namespace {
 
 using hbrp::core::MonitorBeat;
 using hbrp::core::MonitorConfig;
 using hbrp::core::StreamingBeatMonitor;
+using hbrp::test_support::classify_into;
+using hbrp::test_support::run_blocks;
 
 class StreamingMonitorTest : public ::testing::Test {
  protected:
@@ -43,14 +49,7 @@ class StreamingMonitorTest : public ::testing::Test {
   static std::vector<MonitorBeat> run_monitor(const hbrp::dsp::Signal& lead,
                                               const MonitorConfig& cfg = {}) {
     StreamingBeatMonitor monitor(*bundle_, cfg);
-    std::vector<MonitorBeat> beats;
-    for (const auto x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
-    return beats;
+    return run_blocks(monitor, lead);
   }
 
   static const hbrp::embedded::EmbeddedClassifier* bundle_;
@@ -141,30 +140,29 @@ TEST_F(StreamingMonitorTest, FlushFinalizesTailBeats) {
   // A record shorter than one chunk: nothing is emitted until flush.
   const auto rec = monitor_record(4, 6.0);
   StreamingBeatMonitor monitor(*bundle_);
-  std::size_t emitted_during = 0;
-  for (const auto x : rec.leads[0]) emitted_during += monitor.push(x).size();
-  EXPECT_EQ(emitted_during, 0u);
-  const auto tail = monitor.flush();
-  EXPECT_GT(tail.size(), 3u);
+  std::vector<MonitorBeat> beats;
+  const auto sink = classify_into(monitor, beats);
+  for (const auto x : rec.leads[0]) monitor.push_block({&x, 1}, sink);
+  EXPECT_EQ(beats.size(), 0u);
+  monitor.flush(sink);
+  EXPECT_GT(beats.size(), 3u);
 }
 
 TEST_F(StreamingMonitorTest, FlushOnEmptyMonitorIsSafeAndEmpty) {
   StreamingBeatMonitor monitor(*bundle_);
-  EXPECT_TRUE(monitor.flush().empty());
-  EXPECT_TRUE(monitor.flush().empty());  // idempotent
+  std::vector<MonitorBeat> beats;
+  const auto sink = classify_into(monitor, beats);
+  monitor.flush(sink);
+  monitor.flush(sink);  // idempotent
+  EXPECT_TRUE(beats.empty());
   // A handful of samples (far less than one beat window) also yields none.
-  for (int i = 0; i < 10; ++i) monitor.push(1024);
-  EXPECT_TRUE(monitor.flush().empty());
+  const std::vector<hbrp::dsp::Sample> few(10, 1024);
+  monitor.push_block(few, sink);
+  monitor.flush(sink);
+  EXPECT_TRUE(beats.empty());
   // And the monitor is still usable afterwards.
   const auto rec = monitor_record(6, 30.0);
-  std::vector<MonitorBeat> beats;
-  for (const auto x : rec.leads[0]) {
-    auto b = monitor.push(x);
-    beats.insert(beats.end(), b.begin(), b.end());
-  }
-  auto tail = monitor.flush();
-  beats.insert(beats.end(), tail.begin(), tail.end());
-  EXPECT_GT(beats.size(), 15u);
+  EXPECT_GT(run_blocks(monitor, rec.leads[0], 1).size(), 15u);
 }
 
 TEST_F(StreamingMonitorTest, FlushRightAfterChunkSlideLosesNothing) {
@@ -177,23 +175,20 @@ TEST_F(StreamingMonitorTest, FlushRightAfterChunkSlideLosesNothing) {
 
   // Find the sample index at which the first scan fires.
   std::size_t first_scan_end = 0;
+  std::vector<MonitorBeat> probed;
+  const auto probe_sink = classify_into(probe, probed);
   for (std::size_t i = 0; i < rec.leads[0].size(); ++i) {
-    if (!probe.push(rec.leads[0][i]).empty()) {
+    probe.push_block({&rec.leads[0][i], 1}, probe_sink);
+    if (!probed.empty()) {
       first_scan_end = i + 1;
       break;
     }
   }
   ASSERT_GT(first_scan_end, 0u) << "record never filled a chunk";
-  probe.flush();
 
   StreamingBeatMonitor monitor(*bundle_);
-  std::vector<MonitorBeat> interrupted;
-  for (std::size_t i = 0; i < first_scan_end; ++i) {
-    auto b = monitor.push(rec.leads[0][i]);
-    interrupted.insert(interrupted.end(), b.begin(), b.end());
-  }
-  auto tail = monitor.flush();
-  interrupted.insert(interrupted.end(), tail.begin(), tail.end());
+  const auto interrupted = run_blocks(
+      monitor, std::span(rec.leads[0]).first(first_scan_end), 1);
 
   // Nothing double-reported across the slide...
   for (std::size_t i = 1; i < interrupted.size(); ++i)
@@ -243,20 +238,25 @@ TEST_F(StreamingMonitorTest, BeatsStraddlingOverlapAgreeAcrossChunkSizes) {
 }
 
 TEST_F(StreamingMonitorTest, StatsCountSanitizedInputs) {
+  // Doubles are sanitized before the monitor (dsp::sanitize_sample, tested
+  // in test_dsp_quality), so only out-of-range integer codes count as
+  // clamped here.
   StreamingBeatMonitor monitor(*bundle_);
-  monitor.push(std::numeric_limits<double>::quiet_NaN());
-  monitor.push(std::numeric_limits<double>::infinity());
-  monitor.push(-std::numeric_limits<double>::infinity());
-  monitor.push(1e9);    // clamped high
-  monitor.push(-1e9);   // clamped low
-  monitor.push(1024.0); // fine
-  monitor.push(4000);   // integer path, clamped
+  const std::vector<double> raw = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      1e9, -1e9, 1024.0};
+  auto codes = hbrp::dsp::sanitize_samples(raw);
+  codes.push_back(4000);  // out of range: clamped by the monitor
+  std::vector<MonitorBeat> beats;
+  const auto sink = classify_into(monitor, beats);
+  monitor.push_block(codes, sink);
   const auto& stats = monitor.stats();
   EXPECT_EQ(stats.samples_in, 7u);
-  EXPECT_EQ(stats.rejected_nonfinite, 3u);
-  EXPECT_EQ(stats.clamped, 3u);
+  EXPECT_EQ(stats.clamped, 1u);
   // Stats survive flush(); the quality machine resets.
-  monitor.flush();
+  monitor.flush(sink);
   EXPECT_EQ(monitor.stats().samples_in, 7u);
   EXPECT_EQ(monitor.quality(), hbrp::dsp::SignalQuality::Good);
 }
@@ -264,16 +264,7 @@ TEST_F(StreamingMonitorTest, StatsCountSanitizedInputs) {
 TEST_F(StreamingMonitorTest, ReusableAfterFlush) {
   const auto rec = monitor_record(5, 30.0);
   StreamingBeatMonitor monitor(*bundle_);
-  auto run_once = [&]() {
-    std::vector<MonitorBeat> beats;
-    for (const auto x : rec.leads[0]) {
-      auto b = monitor.push(x);
-      beats.insert(beats.end(), b.begin(), b.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
-    return beats;
-  };
+  auto run_once = [&]() { return run_blocks(monitor, rec.leads[0]); };
   const auto first = run_once();
   const auto second = run_once();
   ASSERT_EQ(first.size(), second.size());
@@ -282,5 +273,92 @@ TEST_F(StreamingMonitorTest, ReusableAfterFlush) {
     EXPECT_EQ(first[i].predicted, second[i].predicted);
   }
 }
+
+// --- Golden verdict digest ---------------------------------------------------
+// FNV-1a over every (r_peak, class, quality) and the ingest-side stats of
+// three clean records and one faulted double stream (NaN/±Inf — from the
+// very first sample, so the hold starts at the rail midpoint — Gaussian
+// noise with fractional values, lead-off above and below the rails, a flat
+// line and an impulse burst that escalates beats to Suspect). The constant
+// was recorded before the monitor API was collapsed onto push_block +
+// PendingBeatSink, from the then double-accepting monitor; the digest must
+// not depend on the block sizes the stream is cut into.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::vector<hbrp::dsp::Signal> golden_inputs() {
+  std::vector<hbrp::dsp::Signal> inputs;
+  const hbrp::ecg::RecordProfile profiles[] = {
+      hbrp::ecg::RecordProfile::NormalSinus,
+      hbrp::ecg::RecordProfile::PvcBigeminy,
+      hbrp::ecg::RecordProfile::Lbbb};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    hbrp::ecg::SynthConfig cfg;
+    cfg.profile = profiles[i];
+    cfg.duration_s = 45.0;
+    cfg.num_leads = 1;
+    cfg.seed = 4101 + i;
+    inputs.push_back(hbrp::ecg::generate_record(cfg).leads[0]);
+  }
+  const auto lead = monitor_record(4104, 90.0).leads[0];
+  const std::size_t fs = 360;
+  using hbrp::testing::FaultKind;
+  hbrp::testing::FaultInjectorConfig fcfg;
+  fcfg.seed = 4105;
+  fcfg.events = {
+      {FaultKind::NonFinite, 0, 40, 0.0, 1.0},
+      {FaultKind::GaussianNoise, 5 * fs, 8 * fs, 25.0, 0.0},
+      {FaultKind::LeadOff, 20 * fs, 5 * fs, 4000.0, 0.0},  // above the rail
+      {FaultKind::LeadOff, 35 * fs, 4 * fs, -600.0, 0.0},  // below the rail
+      {FaultKind::NonFinite, 48 * fs, 3 * fs, 0.0, 0.3},
+      {FaultKind::LeadOff, 62 * fs, 6 * fs, 1024.0, 0.0},  // flat line
+      {FaultKind::ImpulseNoise, 74 * fs, 10 * fs, 900.0, 0.03},  // Suspect
+  };
+  inputs.push_back(hbrp::dsp::sanitize_samples(
+      hbrp::testing::FaultInjector::apply(lead, fcfg)));
+  return inputs;
+}
+
+TEST_F(StreamingMonitorTest, GoldenVerdictDigest) {
+  const auto inputs = golden_inputs();
+  hbrp::math::Rng rng(4106);
+  // Mode 0 feeds one sample at a time; modes 1 and 2 random blocks of
+  // 1..2000 samples.
+  for (const int mode : {0, 1, 2}) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto& codes : inputs) {
+      StreamingBeatMonitor monitor(*bundle_);
+      std::vector<MonitorBeat> beats;
+      const auto sink = classify_into(monitor, beats);
+      for (std::size_t i = 0; i < codes.size();) {
+        const std::size_t n = std::min<std::size_t>(
+            mode == 0 ? 1 : static_cast<std::size_t>(rng.uniform_int(1, 2000)),
+            codes.size() - i);
+        monitor.push_block(std::span(codes).subspan(i, n), sink);
+        i += n;
+      }
+      monitor.flush(sink);
+      for (const auto& b : beats) {
+        h = fnv1a(h, b.r_peak);
+        h = fnv1a(h, static_cast<std::uint64_t>(b.predicted));
+        h = fnv1a(h, static_cast<std::uint64_t>(b.quality));
+      }
+      const auto& st = monitor.stats();
+      for (const std::size_t v : {st.samples_in, st.bad_signal_samples,
+                                  st.suspect_beats, st.degradations,
+                                  st.recoveries})
+        h = fnv1a(h, v);
+    }
+    EXPECT_EQ(h, 0xaee0fd0e74d209a3ull)
+        << "mode " << mode << " digest 0x" << std::hex << h;
+  }
+}
+
 
 }  // namespace

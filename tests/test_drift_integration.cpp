@@ -12,6 +12,7 @@
 
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
+#include "monitor_helpers.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/episodes.hpp"
 #include "scenario/runner.hpp"
@@ -110,11 +111,9 @@ TEST_F(DriftIntegrationTest, MonitorHookObservesEveryClassifiedBeat) {
   drift::DriftTracker tracker(*centroids_);
   monitor.set_drift_tracker(&tracker);
   std::size_t classified = 0;
-  const core::BeatSink sink = [&](const core::MonitorBeat& b) {
+  for (const auto& b : test_support::run_blocks(
+           monitor, dsp::sanitize_samples(stream.samples)))
     if (b.quality == dsp::SignalQuality::Good) ++classified;
-  };
-  monitor.push_block(std::span<const double>(stream.samples), sink);
-  monitor.flush(sink);
   ASSERT_GT(classified, 50u);
   // Every Good beat was classified and observed; Suspect beats carry no
   // projection and are skipped.
@@ -123,15 +122,7 @@ TEST_F(DriftIntegrationTest, MonitorHookObservesEveryClassifiedBeat) {
 
 TEST_F(DriftIntegrationTest, FleetDriftStateIsThreadShardBitIdentical) {
   const auto stream = scenario::build_scenario(shift_spec());
-  std::vector<dsp::Sample> codes;
-  codes.reserve(stream.samples.size());
-  {
-    const core::MonitorConfig mc;
-    dsp::Sample last = 0;
-    for (const double x : stream.samples)
-      codes.push_back(
-          net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  }
+  const auto codes = dsp::sanitize_samples(stream.samples);
 
   auto run = [&](std::size_t threads, std::size_t shards) {
     service::FleetEngine engine(*bundle_, drift_fleet_config(threads, shards));
@@ -169,7 +160,8 @@ TEST_F(DriftIntegrationTest, TelemetryJsonCarriesSchemaAndDriftFields) {
   const auto id = engine.open_session([](const service::SessionResult&) {});
   ASSERT_TRUE(id.has_value());
   std::size_t off = 0;
-  const std::span<const double> all(stream.samples);
+  const auto codes = dsp::sanitize_samples(stream.samples);
+  const std::span<const dsp::Sample> all(codes);
   while (off < all.size()) {
     const std::size_t n = std::min<std::size_t>(4096, all.size() - off);
     off += engine.offer(*id, all.subspan(off, n)).accepted;
@@ -209,9 +201,7 @@ TEST_F(DriftIntegrationTest, MorphologyShiftAlarmsCleanStaysQuiet) {
     core::StreamingBeatMonitor monitor(*bundle_);
     drift::DriftTracker tracker(*centroids_, dc);
     monitor.set_drift_tracker(&tracker);
-    const core::BeatSink sink = [](const core::MonitorBeat&) {};
-    monitor.push_block(std::span<const double>(stream.samples), sink);
-    monitor.flush(sink);
+    test_support::run_blocks(monitor, dsp::sanitize_samples(stream.samples));
     return tracker.alarms();
   };
   ScenarioSpec mild = shift_spec();

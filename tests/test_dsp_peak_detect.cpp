@@ -31,6 +31,15 @@ struct ProfileCase {
   const char* name;
 };
 
+// Static storage zero-fills the struct padding, which gtest prints as part of
+// each case's name; temporaries would leave stack bytes there.
+constexpr ProfileCase kProfileCases[] = {
+    {hbrp::ecg::RecordProfile::NormalSinus, "normal"},
+    {hbrp::ecg::RecordProfile::PvcOccasional, "pvc"},
+    {hbrp::ecg::RecordProfile::PvcBigeminy, "bigeminy"},
+    {hbrp::ecg::RecordProfile::Lbbb, "lbbb"},
+};
+
 class PeakDetectOnProfile : public ::testing::TestWithParam<ProfileCase> {};
 
 TEST_P(PeakDetectOnProfile, HighSensitivityAndPrecision) {
@@ -47,12 +56,7 @@ TEST_P(PeakDetectOnProfile, HighSensitivityAndPrecision) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Profiles, PeakDetectOnProfile,
-    ::testing::Values(
-        ProfileCase{hbrp::ecg::RecordProfile::NormalSinus, "normal"},
-        ProfileCase{hbrp::ecg::RecordProfile::PvcOccasional, "pvc"},
-        ProfileCase{hbrp::ecg::RecordProfile::PvcBigeminy, "bigeminy"},
-        ProfileCase{hbrp::ecg::RecordProfile::Lbbb, "lbbb"}),
+    Profiles, PeakDetectOnProfile, ::testing::ValuesIn(kProfileCases),
     [](const auto& info) { return info.param.name; });
 
 TEST(PeakDetect, RobustAcrossSeeds) {

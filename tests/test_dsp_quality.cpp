@@ -1,6 +1,7 @@
 // Tests for the streaming signal-quality estimator: clean signal stays
 // Good, each fault signature demotes correctly, hysteresis governs
 // recovery, and corrupt int32 garbage cannot overflow the accumulators.
+// Also the double-to-code sanitizer that sits in front of the integer path.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -161,6 +162,33 @@ TEST(SignalQuality, ConfigValidation) {
   cfg = {};
   cfg.recover_chunks = 0;
   EXPECT_THROW(SignalQualityEstimator{cfg}, hbrp::Error);
+}
+
+TEST(Sanitizer, HoldsNonFiniteClampsAndRoundsTheRest) {
+  const QualityConfig rails;
+  Sample last = hbrp::dsp::rail_midpoint(rails);
+  EXPECT_EQ(last, 1023);
+  std::uint64_t nonfinite = 0;
+  const auto sanitize = [&](double x) {
+    return hbrp::dsp::sanitize_sample(x, rails, last, &nonfinite);
+  };
+  // Before any finite sample the hold is the rail midpoint.
+  EXPECT_EQ(sanitize(std::numeric_limits<double>::quiet_NaN()), 1023);
+  EXPECT_EQ(sanitize(1e9), 2047);  // clamped high
+  EXPECT_EQ(sanitize(std::numeric_limits<double>::infinity()), 2047);
+  EXPECT_EQ(sanitize(-1e9), 0);  // clamped low
+  EXPECT_EQ(sanitize(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(sanitize(1024.0), 1024);
+  EXPECT_EQ(sanitize(100.5), 101);  // lround: halves away from zero
+  EXPECT_EQ(sanitize(100.49), 100);
+  EXPECT_EQ(nonfinite, 3u);
+  EXPECT_EQ(last, 100);
+
+  const std::vector<double> raw = {
+      std::numeric_limits<double>::quiet_NaN(), 5000.0,
+      -std::numeric_limits<double>::infinity(), 7.6};
+  EXPECT_EQ(hbrp::dsp::sanitize_samples(raw),
+            (std::vector<Sample>{1023, 2047, 2047, 8}));
 }
 
 }  // namespace

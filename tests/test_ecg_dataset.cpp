@@ -6,7 +6,12 @@
 #include <filesystem>
 #include <fstream>
 
+#include "dsp/morphology.hpp"
+#include "dsp/peak_detect.hpp"
+#include "dsp/resample.hpp"
 #include "ecg/dataset.hpp"
+#include "ecg/synth.hpp"
+#include "math/rng.hpp"
 
 namespace {
 
@@ -50,6 +55,48 @@ TEST(Dataset, DeterministicInSeed) {
   for (std::size_t i = 0; i < a.beats.size(); ++i) {
     EXPECT_EQ(a.beats[i].label, b.beats[i].label);
     EXPECT_EQ(a.beats[i].samples, b.beats[i].samples);
+  }
+}
+
+TEST(Dataset, WindowsMatchTheDspReference) {
+  // build_dataset cuts windows with the serving kernels; the dsp:: reference
+  // chain (condition_ecg + detect_r_peaks) must cut the same windows. With
+  // an L-only spec every round draws an Lbbb record; 3 rounds of 10 beats
+  // fill it.
+  DatasetBuilderConfig cfg = quick_cfg(21);
+  cfg.num_leads = 2;
+  cfg.max_per_record_per_class = 10;
+  const BeatDataset ds = hbrp::ecg::build_dataset({0, 0, 30}, cfg);
+  ASSERT_EQ(ds.beats.size(), 30u);
+
+  hbrp::math::Rng rng(cfg.seed);
+  std::vector<hbrp::dsp::Signal> reference;  // every window, record order
+  for (int round = 0; round < 3; ++round) {
+    hbrp::ecg::SynthConfig sc;
+    sc.profile = hbrp::ecg::RecordProfile::Lbbb;
+    sc.duration_s = cfg.record_duration_s;
+    sc.num_leads = 2;
+    sc.seed = rng.next();
+    const auto rec = hbrp::ecg::generate_record(sc);
+    std::vector<hbrp::dsp::Signal> conditioned;
+    for (const auto& lead : rec.leads)
+      conditioned.push_back(hbrp::dsp::condition_ecg(
+          lead, hbrp::dsp::FilterConfig::for_rate(hbrp::dsp::kMitBihFs)));
+    for (const std::size_t peak : hbrp::dsp::detect_r_peaks(conditioned[0])) {
+      hbrp::dsp::Signal w;
+      for (const auto& lead : conditioned) {
+        const auto part = hbrp::dsp::extract_window(lead, peak, 100, 100);
+        w.insert(w.end(), part.begin(), part.end());
+      }
+      reference.push_back(std::move(w));
+    }
+  }
+  // The dataset's windows appear in the reference, in order.
+  std::size_t j = 0;
+  for (const auto& b : ds.beats) {
+    while (j < reference.size() && reference[j] != b.samples) ++j;
+    ASSERT_LT(j, reference.size()) << "window not cut by the dsp:: chain";
+    ++j;
   }
 }
 

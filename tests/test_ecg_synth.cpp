@@ -98,6 +98,15 @@ struct MixCase {
   const char* name;
 };
 
+// Static storage zero-fills the struct padding, which gtest prints as part of
+// each case's name; temporaries would leave stack bytes there.
+constexpr MixCase kMixCases[] = {
+    {RecordProfile::NormalSinus, "normal"},
+    {RecordProfile::PvcOccasional, "pvc"},
+    {RecordProfile::PvcBigeminy, "bigeminy"},
+    {RecordProfile::Lbbb, "lbbb"},
+};
+
 class SynthMix : public ::testing::TestWithParam<MixCase> {};
 
 TEST_P(SynthMix, ClassMixMatchesProfile) {
@@ -117,11 +126,7 @@ TEST_P(SynthMix, ClassMixMatchesProfile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Profiles, SynthMix,
-    ::testing::Values(MixCase{RecordProfile::NormalSinus, "normal"},
-                      MixCase{RecordProfile::PvcOccasional, "pvc"},
-                      MixCase{RecordProfile::PvcBigeminy, "bigeminy"},
-                      MixCase{RecordProfile::Lbbb, "lbbb"}),
+    Profiles, SynthMix, ::testing::ValuesIn(kMixCases),
     [](const auto& info) { return info.param.name; });
 
 TEST(Synth, PvcIsPrematureWithCompensatoryPause) {

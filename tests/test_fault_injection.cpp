@@ -13,6 +13,7 @@
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
 #include "math/check.hpp"
+#include "monitor_helpers.hpp"
 #include "testing/fault_inject.hpp"
 
 namespace {
@@ -62,26 +63,12 @@ class FaultInjectionTest : public ::testing::Test {
 
   static std::vector<MonitorBeat> run_int(StreamingBeatMonitor& monitor,
                                           const hbrp::dsp::Signal& lead) {
-    std::vector<MonitorBeat> beats;
-    for (const auto x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
-    return beats;
+    return hbrp::test_support::run_blocks(monitor, lead);
   }
 
   static std::vector<MonitorBeat> run_raw(StreamingBeatMonitor& monitor,
                                           const std::vector<double>& lead) {
-    std::vector<MonitorBeat> beats;
-    for (const double x : lead) {
-      auto batch = monitor.push(x);
-      beats.insert(beats.end(), batch.begin(), batch.end());
-    }
-    auto tail = monitor.flush();
-    beats.insert(beats.end(), tail.begin(), tail.end());
-    return beats;
+    return run_int(monitor, hbrp::dsp::sanitize_samples(lead));
   }
 
   static bool has_match(const std::vector<MonitorBeat>& beats,
@@ -230,9 +217,15 @@ TEST_F(FaultInjectionTest, NonFiniteBurstIsRejectedAndCounted) {
   fcfg.events = {{FaultKind::NonFinite, 10 * kFs, 2 * kFs, 0.0, 0.3}};
   const auto faulted = FaultInjector::apply(lead, fcfg);
 
+  std::uint64_t nonfinite = 0;
+  hbrp::dsp::Sample last = hbrp::dsp::rail_midpoint({});
+  hbrp::dsp::Signal codes;
+  for (const double x : faulted)
+    codes.push_back(hbrp::dsp::sanitize_sample(x, {}, last, &nonfinite));
+  EXPECT_GT(nonfinite, 100u);
+
   StreamingBeatMonitor monitor(*bundle_);
-  const auto beats = run_raw(monitor, faulted);  // must not throw
-  EXPECT_GT(monitor.stats().rejected_nonfinite, 100u);
+  const auto beats = run_int(monitor, codes);  // must not throw
   EXPECT_EQ(monitor.stats().samples_in, faulted.size());
   EXPECT_GT(beats.size(), 20u);  // the record is still monitored
 }
@@ -280,11 +273,10 @@ TEST_F(FaultInjectionTest, DropAndDupGlitchesDoNotCrashOrDesync) {
 
 TEST_F(FaultInjectionTest, GarbageIntSamplesAreClampedAndCounted) {
   StreamingBeatMonitor monitor(*bundle_);
-  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::max());
-  monitor.push(std::numeric_limits<hbrp::dsp::Sample>::min());
-  monitor.push(-1);
-  monitor.push(5000);
-  monitor.push(1024);
+  const hbrp::dsp::Signal garbage = {
+      std::numeric_limits<hbrp::dsp::Sample>::max(),
+      std::numeric_limits<hbrp::dsp::Sample>::min(), -1, 5000, 1024};
+  run_int(monitor, garbage);
   EXPECT_EQ(monitor.stats().samples_in, 5u);
   EXPECT_EQ(monitor.stats().clamped, 4u);
   // Still functional afterwards.

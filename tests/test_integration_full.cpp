@@ -15,6 +15,7 @@
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/mitdb.hpp"
+#include "monitor_helpers.hpp"
 
 namespace {
 
@@ -87,13 +88,8 @@ TEST(IntegrationFull, TrainPersistDeployClassify) {
 
   // 6. Streaming monitor agrees with the batch pipeline on this record.
   core::StreamingBeatMonitor monitor(reloaded.quantize());
-  std::vector<core::MonitorBeat> streamed;
-  for (const auto x : from_disk.leads[0]) {
-    auto batch = monitor.push(x);
-    streamed.insert(streamed.end(), batch.begin(), batch.end());
-  }
-  auto tail = monitor.flush();
-  streamed.insert(streamed.end(), tail.begin(), tail.end());
+  const auto streamed =
+      test_support::run_blocks(monitor, from_disk.leads[0]);
 
   std::size_t agree = 0, compared = 0;
   for (const auto& b : result.beats) {

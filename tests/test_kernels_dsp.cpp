@@ -273,7 +273,7 @@ TEST(KernelsDspPeaks, KindDispatchSelectsDetector) {
   EXPECT_EQ(by_kind, direct);
 }
 
-// --- StreamingBeatMonitor: push_block vs per-sample push -------------------
+// --- StreamingBeatMonitor: block-size invariance of push_block --------------
 
 class KernelsDspMonitorTest : public ::testing::Test {
  protected:
@@ -302,9 +302,9 @@ class KernelsDspMonitorTest : public ::testing::Test {
 
 const embedded::EmbeddedClassifier* KernelsDspMonitorTest::bundle_ = nullptr;
 
-// The faulted double stream exercises the sanitizer, the SQI state machine
-// and the conditioner resets together; the beat stream must not depend on
-// how the caller batches samples.
+// The sanitized faulted stream exercises the SQI state machine and the
+// conditioner resets together; the beat stream must not depend on how the
+// caller batches samples.
 TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
   ecg::SynthConfig scfg;
   scfg.profile = ecg::RecordProfile::PvcOccasional;
@@ -324,11 +324,8 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
         {hbrp::testing::FaultKind::NonFinite, 3 * lead.size() / 4, 2 * fs, 0.0,
          0.25},
     };
-    hbrp::testing::FaultInjector injector(fcfg);
-    std::vector<double> stream;
-    for (const auto x : lead)
-      for (const double y : injector.feed(x)) stream.push_back(y);
-    return stream;
+    return dsp::sanitize_samples(
+        hbrp::testing::FaultInjector::apply(lead, fcfg));
   };
   const auto stream = make_stream();
 
@@ -341,7 +338,8 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
   const auto run = [&](auto&& feed) {
     core::StreamingBeatMonitor monitor(*bundle_);
     std::vector<Seen> seen;
-    const core::BeatSink sink = [&](const core::MonitorBeat& b) {
+    const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+      const core::MonitorBeat b = monitor.classify(pb);
       seen.push_back({b.r_peak, b.predicted, b.quality});
     };
     feed(monitor, sink);
@@ -349,17 +347,17 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
     return seen;
   };
 
-  const auto per_sample =
-      run([&](core::StreamingBeatMonitor& m, const core::BeatSink& sink) {
-        for (const double x : stream) m.push(x, sink);
-      });
+  const auto per_sample = run([&](core::StreamingBeatMonitor& m,
+                                  const core::PendingBeatSink& sink) {
+    for (const dsp::Sample& x : stream) m.push_block({&x, 1}, sink);
+  });
   ASSERT_FALSE(per_sample.empty());
 
   // Fixed large blocks, tiny blocks, and randomly ragged blocks must all
   // reproduce the per-sample beat stream exactly.
   for (const std::uint64_t mode : {0u, 1u, 2u}) {
     const auto blocked = run([&](core::StreamingBeatMonitor& m,
-                                 const core::BeatSink& sink) {
+                                 const core::PendingBeatSink& sink) {
       math::Rng rng(55 + mode);
       std::size_t i = 0;
       while (i < stream.size()) {
@@ -368,7 +366,7 @@ TEST_F(KernelsDspMonitorTest, PushBlockMatchesPerSampleUnderFaults) {
                                        : static_cast<std::size_t>(
                                              rng.uniform_int(1, 2000));
         take = std::min(take, stream.size() - i);
-        m.push_block(std::span<const double>(stream.data() + i, take), sink);
+        m.push_block(std::span(stream).subspan(i, take), sink);
         i += take;
       }
     });

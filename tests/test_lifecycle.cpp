@@ -419,10 +419,11 @@ std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
   return {rec.leads[0].begin(), rec.leads[0].end()};
 }
 
-/// Direct ingest of a double lead on one engine; returns tagged verdicts.
+/// Direct ingest of a double lead, sanitized, on one engine; returns tagged
+/// verdicts.
 std::vector<TaggedVerdict> run_engine(
     const embedded::EmbeddedClassifier& classifier,
-    std::span<const double> lead, std::size_t threads, std::size_t shards,
+    std::span<const double> raw, std::size_t threads, std::size_t shards,
     const std::function<void(service::FleetEngine&, service::SessionId,
                              std::size_t)>& mid_hook = nullptr) {
   service::FleetConfig cfg;
@@ -439,6 +440,8 @@ std::vector<TaggedVerdict> run_engine(
             r.model_version});
       });
   EXPECT_TRUE(id.has_value());
+  const auto codes = dsp::sanitize_samples(raw);
+  const std::span<const dsp::Sample> lead(codes);
   std::size_t off = 0;
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
@@ -520,12 +523,12 @@ TEST_F(LifecycleSwapTest, RestagingSameModelIsIdempotent) {
       });
   ASSERT_TRUE(id.has_value());
   const auto m = model_b();
+  const auto codes = dsp::sanitize_samples(lead);
   std::size_t off = 0;
   bool staged = false;
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
-               .accepted;
+    off += engine.offer(*id, std::span(codes).subspan(off, n)).accepted;
     engine.pump();
     if (!staged && off >= 2048 * 2) {
       EXPECT_TRUE(engine.stage_swap(*id, m));
@@ -559,11 +562,11 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
   // Three quarters of the stream on the old seeds, one quarter on the new:
   // the fresh tracker's beat count must restart well below the old one.
   const std::size_t pre_swap = lead.size() * 3 / 4;
+  const auto codes = dsp::sanitize_samples(lead);
   std::size_t off = 0;
   while (off < pre_swap) {
     const std::size_t n = std::min<std::size_t>(2048, pre_swap - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
-               .accepted;
+    off += engine.offer(*id, std::span(codes).subspan(off, n)).accepted;
     engine.pump();
   }
   const service::SessionTelemetry* t = engine.session_telemetry(*id);
@@ -575,8 +578,7 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
   engine.pump();  // applies the swap, re-seeding from centroids_b_
   while (off < lead.size()) {
     const std::size_t n = std::min<std::size_t>(2048, lead.size() - off);
-    off += engine.offer(*id, std::span<const double>(lead).subspan(off, n))
-               .accepted;
+    off += engine.offer(*id, std::span(codes).subspan(off, n)).accepted;
     engine.pump();
   }
   engine.drain();
@@ -589,17 +591,6 @@ TEST_F(LifecycleSwapTest, SwapReseedsDriftFromBundleCentroids) {
 }
 
 // --- gateway wire path -----------------------------------------------------
-
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(
-        net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  return codes;
-}
 
 std::vector<VerdictSig> direct_ingest(
     const embedded::EmbeddedClassifier& classifier,
@@ -668,7 +659,7 @@ TEST_F(LifecycleSwapTest, GatewayPushMidIngestSwapsEverySession) {
   std::vector<std::vector<VerdictSig>> ref_a(kClients), ref_b(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
     leads.push_back(patient_lead(60 + i, 20.0));
-    codes.push_back(wire_codes(leads[i]));
+    codes.push_back(dsp::sanitize_samples(leads[i]));
     ref_a[i] = direct_ingest(*clf_a_, codes[i]);
     ref_b[i] = direct_ingest(*clf_b_, codes[i]);
     ASSERT_FALSE(ref_a[i].empty());
@@ -830,7 +821,7 @@ net::PushResult raw_push(std::uint16_t port, const net::ModelPushMsg& m,
 // whole barrage gets the bit-identical old-model verdict stream.
 TEST_F(LifecycleSwapTest, NackedPushesLeaveModelAndTrafficUntouched) {
   const auto lead = patient_lead(70, 18.0);
-  const auto codes = wire_codes(lead);
+  const auto codes = dsp::sanitize_samples(lead);
   const auto ref_a = direct_ingest(*clf_a_, codes);
   ASSERT_FALSE(ref_a.empty());
 
@@ -1004,7 +995,7 @@ TEST_F(LifecycleSwapTest, AbSplitDeploysCandidateToArmBOnly) {
   ASSERT_TRUE(have_a && have_b);
 
   const auto lead = patient_lead(80, 16.0);
-  const auto codes = wire_codes(lead);
+  const auto codes = dsp::sanitize_samples(lead);
   const auto ref_a = direct_ingest(*clf_a_, codes);
   const auto ref_b = direct_ingest(*clf_b_, codes);
   ASSERT_FALSE(ref_a.empty());

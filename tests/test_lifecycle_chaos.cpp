@@ -102,17 +102,6 @@ std::vector<double> patient_lead(std::uint64_t seed, double seconds) {
   return {rec.leads[0].begin(), rec.leads[0].end()};
 }
 
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(
-        net::SensorNodeClient::sanitize(x, mc.quality, last, nullptr));
-  return codes;
-}
-
 struct VerdictSig {
   std::uint64_t sequence;
   std::uint64_t r_peak;
@@ -173,7 +162,7 @@ struct ChaosHarness {
 // verdict stream with no drops.
 TEST_F(LifecycleChaosTest, KilledPushLeavesGatewayOnOldVersion) {
   const auto lead = patient_lead(120, 15.0);
-  const auto ref_a = direct_ingest(*clf_a_, wire_codes(lead));
+  const auto ref_a = direct_ingest(*clf_a_, dsp::sanitize_samples(lead));
   ASSERT_FALSE(ref_a.empty());
 
   net::GatewayConfig gcfg;
@@ -323,7 +312,8 @@ TEST_F(LifecycleChaosTest, SwapDuringDriftAlarmReArmsAgainstNewSeeds) {
   const service::SessionTelemetry* t = engine.session_telemetry(*id);
   ASSERT_NE(t, nullptr);
 
-  const std::span<const double> span(lead);
+  const auto codes = dsp::sanitize_samples(lead);
+  const std::span<const dsp::Sample> span(codes);
   const std::size_t pre_swap = lead.size() * 2 / 3;
   std::size_t off = 0;
   while (off < pre_swap) {

@@ -8,6 +8,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -63,18 +64,6 @@ std::vector<double> patient_lead(std::uint64_t seed, double seconds = 30.0) {
   cfg.seed = seed;
   const auto rec = ecg::generate_record(cfg);
   return {rec.leads[0].begin(), rec.leads[0].end()};
-}
-
-/// The exact integer codes a node's double input becomes on the wire.
-std::vector<dsp::Sample> wire_codes(const std::vector<double>& lead) {
-  const core::MonitorConfig mc;
-  std::vector<dsp::Sample> codes;
-  codes.reserve(lead.size());
-  dsp::Sample last = 0;
-  for (const double x : lead)
-    codes.push_back(net::SensorNodeClient::sanitize(x, mc.quality, last,
-                                                    nullptr));
-  return codes;
 }
 
 struct VerdictSig {
@@ -169,7 +158,7 @@ TEST_F(NetLoopbackTest, GracefulCloseReleasesConnectionAndSession) {
 
 TEST_F(NetLoopbackTest, StreamEverythingIsBitIdenticalToDirectIngest) {
   const auto lead = patient_lead(7);
-  const auto codes = wire_codes(lead);
+  const auto codes = dsp::sanitize_samples(lead);
   const auto reference = direct_ingest(*bundle_, codes, 1, 1);
   ASSERT_FALSE(reference.empty());
   // The engine's own determinism contract, restated here because the wire
@@ -213,7 +202,7 @@ TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
   lead[100] = std::numeric_limits<double>::quiet_NaN();
   lead[101] = std::numeric_limits<double>::infinity();
   lead[500] = 1e12;  // clamped to the rail
-  const auto codes = wire_codes(lead);
+  const auto codes = dsp::sanitize_samples(lead);
   const auto reference = direct_ingest(*bundle_, codes, 2, 2);
 
   GatewayHarness harness(*bundle_, {});
@@ -234,11 +223,103 @@ TEST_F(NetLoopbackTest, IntegerAndSanitizedDoublePushesAreEquivalent) {
   EXPECT_EQ(client.stats().sanitized_nonfinite, 2u);
 }
 
+TEST_F(NetLoopbackTest, LeadingNonFiniteHoldsAtRailMidpoint) {
+  // Before the first finite sample the node holds the rail midpoint, like
+  // dsp::sanitize_samples(). A stand-in gateway reads the codes off the
+  // wire.
+  auto lead = patient_lead(13, 3.0);
+  for (std::size_t i = 0; i < 20; ++i)
+    lead[i] = std::numeric_limits<double>::quiet_NaN();
+  const auto expected = dsp::sanitize_samples(lead);
+  ASSERT_EQ(expected[0], dsp::rail_midpoint({}));
+
+  net::TcpListener listener(0);
+  net::NodeConfig ncfg;
+  ncfg.port = listener.port();
+  net::SensorNodeClient client(*bundle_, ncfg);
+  client.push(std::span<const double>(lead));
+  client.finish();
+
+  net::Socket conn;
+  net::FrameParser parser;
+  std::vector<dsp::Sample> codes;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (codes.size() < lead.size() && Clock::now() < deadline) {
+    client.poll_once(1);
+    if (!conn.valid()) {
+      conn = listener.accept();
+      continue;
+    }
+    unsigned char buf[4096];
+    const net::IoResult r = net::recv_some(conn.fd(), buf);
+    ASSERT_FALSE(r.eof || r.error);
+    ASSERT_TRUE(parser.feed(std::span<const unsigned char>(buf, r.n)));
+    net::FrameView f;
+    while (parser.next(f) == net::FrameParser::Status::Ok) {
+      if (f.type == net::FrameType::Hello) {
+        std::vector<unsigned char> ack;
+        net::append_frame(ack, net::FrameType::HelloAck, 0,
+                          net::encode_hello_ack({}));
+        ASSERT_EQ(net::send_some(conn.fd(), ack).n, ack.size());
+      } else if (f.type == net::FrameType::SampleChunk) {
+        ASSERT_TRUE(net::decode_sample_chunk(f.payload, codes));
+      }
+    }
+  }
+  EXPECT_EQ(codes, expected);
+  EXPECT_EQ(client.stats().sanitized_nonfinite, 20u);
+}
+
+TEST_F(NetLoopbackTest, ByeBehindParkedSamplesDeliversTheTail) {
+  // Every chunk and then the BYE reach the gateway in one read, and a tiny
+  // Block queue parks most samples of the first chunk. The BYE must wait
+  // for the parked samples; closing first would drop them and their
+  // verdicts.
+  const auto codes = dsp::sanitize_samples(patient_lead(12, 6.0));
+  const auto reference = direct_ingest(*bundle_, codes, 1, 1);
+  ASSERT_FALSE(reference.empty());
+
+  net::GatewayConfig gcfg;
+  gcfg.reactors = 1;
+  gcfg.fleet.session.queue_capacity = 256;
+  gcfg.fleet.session.backpressure = service::BackpressurePolicy::Block;
+  net::GatewayServer gw(*bundle_, gcfg);  // stepped by hand, no serve thread
+
+  net::NodeConfig ncfg;
+  ncfg.port = gw.port();
+  net::SensorNodeClient client(*bundle_, ncfg);
+  std::vector<VerdictSig> got;
+  client.set_verdict_sink(
+      [&got](std::uint64_t seq, const net::BeatVerdictMsg& v) {
+        got.push_back(VerdictSig{seq, v.r_peak, v.beat_class, v.quality});
+      });
+  const auto deadline = Clock::now() + std::chrono::seconds(20);
+  while (!client.established() && Clock::now() < deadline) {
+    client.poll_once(1);
+    gw.poll_once(1);
+  }
+  ASSERT_TRUE(client.established());
+
+  client.push(std::span<const dsp::Sample>(codes));
+  std::atomic<bool> closed{false};
+  std::thread node([&] {
+    client.close(15000);
+    closed = true;
+  });
+  // The node writes its chunks and the BYE at once; let them all land in
+  // the socket before the gateway reads.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  while (!closed && Clock::now() < deadline) gw.poll_once(1);
+  node.join();
+  EXPECT_EQ(got, reference);
+}
+
 TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   // Mostly-normal rhythm: the node's monitor equals the fleet session's
   // monitor, so the reference run predicts the exact local/upload split.
   const auto lead = patient_lead(9);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  const auto reference =
+      direct_ingest(*bundle_, dsp::sanitize_samples(lead), 1, 1);
   std::size_t expect_local = 0, expect_full = 0, expect_meta = 0;
   for (const auto& r : reference) {
     const bool good = static_cast<dsp::SignalQuality>(r.quality) ==
@@ -401,7 +482,8 @@ TEST_F(NetLoopbackTest, GatewayDropsCorruptAndOutOfSeqConnections) {
 
   // A well-behaved client still gets full service afterwards.
   const auto lead = patient_lead(3, 10.0);
-  const auto reference = direct_ingest(*bundle_, wire_codes(lead), 1, 1);
+  const auto reference =
+      direct_ingest(*bundle_, dsp::sanitize_samples(lead), 1, 1);
   net::NodeConfig ncfg;
   ncfg.port = port;
   net::SensorNodeClient client(*bundle_, ncfg);
@@ -550,7 +632,8 @@ TEST_F(NetLoopbackTest, ConcurrentMixedPolicyClients) {
     if (i % 2 == 0) {
       // Streaming clients: the wire stream is bit-identical to direct
       // ingest even with three other sessions competing for the engine.
-      EXPECT_EQ(got[i], direct_ingest(*bundle_, wire_codes(leads[i]), 1, 1))
+      EXPECT_EQ(got[i],
+                direct_ingest(*bundle_, dsp::sanitize_samples(leads[i]), 1, 1))
           << "client " << i;
       EXPECT_EQ(stats[i].verdict_seq_gaps, 0u);
     } else {

@@ -12,6 +12,7 @@
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
+#include "monitor_helpers.hpp"
 #include "service/fleet.hpp"
 #include "testing/fault_inject.hpp"
 
@@ -53,15 +54,14 @@ class FleetEngineTest : public ::testing::Test {
 
 const hbrp::embedded::EmbeddedClassifier* FleetEngineTest::bundle_ = nullptr;
 
-std::vector<double> patient_lead(std::uint64_t seed, double seconds = 45.0) {
+hbrp::dsp::Signal patient_lead(std::uint64_t seed, double seconds = 45.0) {
   hbrp::ecg::SynthConfig cfg;
   cfg.profile = seed % 2 == 0 ? hbrp::ecg::RecordProfile::PvcOccasional
                               : hbrp::ecg::RecordProfile::NormalSinus;
   cfg.duration_s = seconds;
   cfg.num_leads = 1;
   cfg.seed = seed;
-  const auto rec = hbrp::ecg::generate_record(cfg);
-  return {rec.leads[0].begin(), rec.leads[0].end()};
+  return hbrp::ecg::generate_record(cfg).leads[0];
 }
 
 /// The per-session output signature the determinism tests compare.
@@ -82,7 +82,7 @@ BeatSig signature(const SessionResult& r) {
 /// close. Returns one signature sequence per input lead.
 std::vector<std::vector<BeatSig>> replay_fleet(
     const hbrp::embedded::EmbeddedClassifier& classifier,
-    const std::vector<std::vector<double>>& leads, std::size_t threads,
+    const std::vector<hbrp::dsp::Signal>& leads, std::size_t threads,
     std::size_t shards, std::size_t chunk = 1024) {
   FleetConfig cfg;
   cfg.threads = threads;
@@ -109,7 +109,7 @@ std::vector<std::vector<BeatSig>> replay_fleet(
       any = true;
       const std::size_t n = std::min(chunk, leads[i].size() - offset);
       const auto res = engine.offer(
-          ids[i], std::span<const double>(leads[i].data() + offset, n));
+          ids[i], std::span(leads[i]).subspan(offset, n));
       EXPECT_EQ(res.accepted, n);  // queues are sized for the schedule
     }
     offset += chunk;
@@ -123,13 +123,10 @@ std::vector<std::vector<BeatSig>> replay_fleet(
 TEST_F(FleetEngineTest, MatchesStandaloneMonitor) {
   const auto lead = patient_lead(7);
 
-  // Reference: the classifying monitor fed directly.
+  // Reference: the monitor fed directly, one sample at a time, classifying
+  // each beat in place.
   hbrp::core::StreamingBeatMonitor monitor(*bundle_);
-  std::vector<hbrp::core::MonitorBeat> reference;
-  const hbrp::core::BeatSink ref_sink =
-      [&](const hbrp::core::MonitorBeat& b) { reference.push_back(b); };
-  for (const double x : lead) monitor.push(x, ref_sink);
-  monitor.flush(ref_sink);
+  const auto reference = hbrp::test_support::run_blocks(monitor, lead, 1);
 
   const auto fleet = replay_fleet(*bundle_, {lead}, 2, 2);
   ASSERT_EQ(fleet.size(), 1u);
@@ -144,7 +141,7 @@ TEST_F(FleetEngineTest, MatchesStandaloneMonitor) {
 }
 
 TEST_F(FleetEngineTest, DeterministicAcrossThreadsAndShards) {
-  std::vector<std::vector<double>> leads;
+  std::vector<hbrp::dsp::Signal> leads;
   for (std::uint64_t s = 1; s <= 6; ++s) leads.push_back(patient_lead(s));
 
   const auto serial = replay_fleet(*bundle_, leads, 1, 1);
@@ -164,7 +161,7 @@ TEST_F(FleetEngineTest, DeterministicAcrossThreadsAndShards) {
 }
 
 TEST_F(FleetEngineTest, InOrderDenseSequencedDelivery) {
-  std::vector<std::vector<double>> leads = {patient_lead(11),
+  std::vector<hbrp::dsp::Signal> leads = {patient_lead(11),
                                             patient_lead(12)};
   const auto out = replay_fleet(*bundle_, leads, 4, 2, 357);
   for (const auto& seq : out) {
@@ -203,23 +200,23 @@ TEST_F(FleetEngineTest, AdmissionControlQueueBound) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> big(800, 1024.0);
-  EXPECT_EQ(engine.offer(*id, std::span<const double>(big)).accepted, 800u);
-  const std::vector<double> more(300, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(more));
+  const hbrp::dsp::Signal big(800, 1024);
+  EXPECT_EQ(engine.offer(*id, big).accepted, 800u);
+  const hbrp::dsp::Signal more(300, 1024);
+  const auto res = engine.offer(*id, more);
   EXPECT_EQ(res.accepted, 0u);
   EXPECT_EQ(res.rejected, 300u);
   EXPECT_EQ(engine.telemetry().offers_rejected.load(), 1u);
 
   engine.pump();  // frees the gauge
   EXPECT_EQ(engine.queued_samples(), 0u);
-  EXPECT_EQ(engine.offer(*id, std::span<const double>(more)).accepted, 300u);
+  EXPECT_EQ(engine.offer(*id, more).accepted, 300u);
 }
 
 TEST_F(FleetEngineTest, UnknownSessionOfferIsRejected) {
   FleetEngine engine(*bundle_, {});
-  const std::vector<double> x(10, 0.0);
-  const auto res = engine.offer(SessionId{999}, std::span<const double>(x));
+  const hbrp::dsp::Signal x(10, 0);
+  const auto res = engine.offer(SessionId{999}, x);
   EXPECT_EQ(res.accepted, 0u);
   EXPECT_EQ(res.rejected, 10u);
   EXPECT_FALSE(engine.close_session(SessionId{999}));
@@ -237,8 +234,7 @@ TEST_F(FleetEngineTest, BackpressureBlockDefersWithoutLoss) {
   std::size_t offset = 0;
   while (offset < lead.size()) {
     const auto res = engine.offer(
-        *id, std::span<const double>(lead.data() + offset,
-                                     lead.size() - offset));
+        *id, std::span(lead).subspan(offset, lead.size() - offset));
     EXPECT_EQ(res.evicted, 0u);
     EXPECT_EQ(res.rejected, 0u);
     EXPECT_EQ(res.accepted + res.deferred, lead.size() - offset);
@@ -265,16 +261,16 @@ TEST_F(FleetEngineTest, BackpressureDropOldestEvictsWithCount) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> burst(1200, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(burst));
+  const hbrp::dsp::Signal burst(1200, 1024);
+  const auto res = engine.offer(*id, burst);
   EXPECT_EQ(res.accepted, 500u);
   EXPECT_EQ(res.evicted, 700u);  // overflowing prefix of the burst
   EXPECT_EQ(res.deferred + res.rejected, 0u);
   EXPECT_EQ(engine.queued_samples(), 500u);
 
   // A second burst evicts the queued remainder of the first.
-  const std::vector<double> burst2(300, 900.0);
-  const auto res2 = engine.offer(*id, std::span<const double>(burst2));
+  const hbrp::dsp::Signal burst2(300, 900);
+  const auto res2 = engine.offer(*id, burst2);
   EXPECT_EQ(res2.accepted, 300u);
   EXPECT_EQ(res2.evicted, 300u);
   EXPECT_EQ(engine.queued_samples(), 500u);
@@ -293,8 +289,8 @@ TEST_F(FleetEngineTest, BackpressureRejectTailDrops) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> burst(1200, 1024.0);
-  const auto res = engine.offer(*id, std::span<const double>(burst));
+  const hbrp::dsp::Signal burst(1200, 1024);
+  const auto res = engine.offer(*id, burst);
   EXPECT_EQ(res.accepted, 500u);
   EXPECT_EQ(res.rejected, 700u);
   EXPECT_EQ(res.evicted + res.deferred, 0u);
@@ -315,11 +311,10 @@ TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
       {hbrp::testing::FaultKind::DupSamples, 3 * n / 4, n / 10, 0.0, 0.0},
   };
   hbrp::testing::FaultInjector injector(fcfg);
-  std::vector<double> corrupted;
-  for (const double x : lead)
-    for (const double y :
-         injector.feed(static_cast<hbrp::dsp::Sample>(x)))
-      corrupted.push_back(y);
+  std::vector<double> raw;
+  for (const hbrp::dsp::Sample x : lead)
+    for (const double y : injector.feed(x)) raw.push_back(y);
+  const auto corrupted = hbrp::dsp::sanitize_samples(raw);
 
   FleetConfig cfg;
   cfg.session.queue_capacity = 700;
@@ -334,8 +329,7 @@ TEST_F(FleetEngineTest, FaultInjectedBurstsHonorBackpressure) {
   std::size_t offset = 0, burst = 97;
   while (offset < corrupted.size()) {
     const std::size_t take = std::min(burst, corrupted.size() - offset);
-    engine.offer(*id,
-                 std::span<const double>(corrupted.data() + offset, take));
+    engine.offer(*id, std::span(corrupted).subspan(offset, take));
     offset += take;
     burst = burst * 31 % 1203 + 64;  // deterministic irregular burst sizes
     if (burst % 3 == 0) engine.pump();
@@ -355,8 +349,8 @@ TEST_F(FleetEngineTest, RateCapBoundsWorkPerPump) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
 
-  const std::vector<double> x(5000, 1024.0);
-  ASSERT_EQ(engine.offer(*id, std::span<const double>(x)).accepted, 5000u);
+  const hbrp::dsp::Signal x(5000, 1024);
+  ASSERT_EQ(engine.offer(*id, x).accepted, 5000u);
   engine.pump();
   EXPECT_EQ(engine.queued_samples(), 4000u);
   engine.pump();
@@ -375,7 +369,7 @@ TEST_F(FleetEngineTest, CloseMidStreamDeliversTailThenReopenIsClean) {
   ASSERT_TRUE(a);
   // Half the record, then close mid-stream: the buffered tail must come out.
   const std::size_t half = lead.size() / 2;
-  engine.offer(*a, std::span<const double>(lead.data(), half));
+  engine.offer(*a, std::span(lead).first(half));
   engine.drain();
   const std::size_t before_close = first.size();
   EXPECT_TRUE(engine.close_session(*a));
@@ -385,7 +379,7 @@ TEST_F(FleetEngineTest, CloseMidStreamDeliversTailThenReopenIsClean) {
   const auto b = engine.open_session(
       [&](const SessionResult& r) { second.push_back(signature(r)); });
   ASSERT_TRUE(b);
-  engine.offer(*b, std::span<const double>(lead));
+  engine.offer(*b, lead);
   engine.drain();
   EXPECT_TRUE(engine.close_session(*b));
   ASSERT_FALSE(second.empty());
@@ -397,7 +391,7 @@ TEST_F(FleetEngineTest, TelemetryJsonSnapshot) {
   const auto id = engine.open_session({});
   ASSERT_TRUE(id);
   const auto lead = patient_lead(51, 20.0);
-  engine.offer(*id, std::span<const double>(lead));
+  engine.offer(*id, lead);
   engine.drain();
 
   const std::string json = engine.telemetry_json();
@@ -437,7 +431,7 @@ TEST_F(FleetEngineTest, ConcurrentProducersWithLivePump) {
         const std::size_t take = std::min<std::size_t>(512,
                                                        lead.size() - offset);
         const auto res = engine.offer(
-            ids[i], std::span<const double>(lead.data() + offset, take));
+            ids[i], std::span(lead).subspan(offset, take));
         offset += res.accepted;
         if (res.accepted == 0) std::this_thread::yield();
       }
