@@ -13,12 +13,15 @@
 // the machine provenance from bench::JsonReport.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "delineation/mmd.hpp"
 #include "dsp/morphology.hpp"
@@ -33,7 +36,9 @@
 #include "kernels/dsp_wavelet.hpp"
 #include "kernels/fuzzify.hpp"
 #include "kernels/sparse_ternary.hpp"
+#include "rp/achlioptas.hpp"
 #include "rp/packed_matrix.hpp"
+#include "rp/projector.hpp"
 
 namespace {
 
@@ -371,6 +376,48 @@ void BM_IntClassifyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IntClassifyBatch)->Arg(8)->Arg(16)->Arg(32);
 
+// --- Monitor ingest: one StreamingBeatMonitor over 600 s of synthetic
+// signal fed through push_block in blocks of 1 (what
+// SensorNodeClient::push(Sample) does), 360 (1 s) and 2048 samples, every
+// beat classified in the sink, then flush. One op = one whole pass; main()
+// derives MonitorPushBlock_<block>_ns_per_sample from it.
+
+constexpr double kMonitorSeconds = 600.0;
+
+const dsp::Signal& monitor_codes() {
+  static const dsp::Signal codes = bench_record(kMonitorSeconds).leads[0];
+  return codes;
+}
+
+void BM_MonitorPushBlock(benchmark::State& state) {
+  const auto block = static_cast<std::size_t>(state.range(0));
+  const dsp::Signal& codes = monitor_codes();
+  math::Rng rng(5);
+  const embedded::EmbeddedClassifier classifier(
+      rp::BeatProjector(rp::make_achlioptas(16, 50, rng), 4),
+      bench_classifier(16, embedded::MfShape::Linearized), 6554);
+  core::StreamingBeatMonitor monitor(classifier);
+  std::size_t beats = 0;
+  const core::PendingBeatSink sink = [&](const core::PendingBeat& pb) {
+    benchmark::DoNotOptimize(monitor.classify(pb));
+    ++beats;
+  };
+  for (auto _ : state) {
+    const std::span<const dsp::Sample> xs(codes);
+    for (std::size_t i = 0; i < xs.size(); i += block)
+      monitor.push_block(xs.subspan(i, std::min(block, xs.size() - i)), sink);
+    monitor.flush(sink);
+  }
+  benchmark::DoNotOptimize(beats);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(codes.size()));
+}
+BENCHMARK(BM_MonitorPushBlock)
+    ->Arg(1)
+    ->Arg(360)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_MorphologyDeque(benchmark::State& state) {
   const auto& sig = conditioned_30s();
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -521,6 +568,13 @@ int main(int argc, char** argv) {
     const double sample = reporter.find(p.sample);
     const double block = reporter.find(p.block);
     if (sample > 0.0 && block > 0.0) report.set(p.key, sample / block);
+  }
+  for (const int block : {1, 360, 2048}) {
+    const std::string stem = "MonitorPushBlock_" + std::to_string(block);
+    const double ns = reporter.find(stem);
+    if (ns > 0.0)
+      report.set(stem + "_ns_per_sample",
+                 ns / static_cast<double>(monitor_codes().size()));
   }
   const double mf_scalar = reporter.find("IntMfScalar");
   const double mf_simd = reporter.find("IntMfSimd");

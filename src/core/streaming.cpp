@@ -4,6 +4,7 @@
 
 #include "dsp/resample.hpp"
 #include "ecg/types.hpp"
+#include "kernels/dsp_peaks.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::core {
@@ -30,41 +31,6 @@ StreamingBeatMonitor::StreamingBeatMonitor(
                "plus the refractory period");
   HBRP_REQUIRE(chunk_samples_ > 2 * overlap_samples_,
                "StreamingBeatMonitor: chunk must exceed twice the overlap");
-}
-
-void StreamingBeatMonitor::push_impl(dsp::Sample x,
-                                     const PendingBeatSink& sink) {
-  ++stats_.samples_in;
-  if (x < cfg_.quality.rail_low || x > cfg_.quality.rail_high) {
-    ++stats_.clamped;
-    x = std::clamp(x, cfg_.quality.rail_low, cfg_.quality.rail_high);
-  }
-  const std::size_t idx = input_index_++;
-
-  if (cfg_.quality_gating) {
-    const bool was_bad = quality_state_ == dsp::SignalQuality::Bad;
-    if (const auto update = sqi_.push(x)) {
-      if (*update != quality_state_) {
-        // A real transition: drain the conditioner's pending batch first so
-        // every scan that would have preceded this moment on the per-sample
-        // path happens before the transition is recorded. Same-state SQI
-        // updates (the common case, one per SQI chunk) skip the sync and
-        // keep the conditioner batching at full size.
-        sync_conditioner(sink);
-        on_quality_update(*update, sink);
-      }
-    }
-    if (was_bad || quality_state_ == dsp::SignalQuality::Bad) {
-      // Suppressed: consumed while in (or entering / just leaving) the Bad
-      // state. Recovery re-arms on the next accepted sample.
-      ++stats_.bad_signal_samples;
-      return;
-    }
-    if (needs_rearm_) rearm(idx);
-  }
-
-  conditioner_.push(x, cond_out_);
-  if (!cond_out_.empty()) append_conditioned(sink);
 }
 
 void StreamingBeatMonitor::append_conditioned(const PendingBeatSink& sink) {
@@ -94,7 +60,83 @@ void StreamingBeatMonitor::sync_conditioner(const PendingBeatSink& sink) {
 
 void StreamingBeatMonitor::push_block(std::span<const dsp::Sample> xs,
                                       const PendingBeatSink& sink) {
-  for (const dsp::Sample x : xs) push_impl(x, sink);
+  stats_.samples_in += xs.size();
+  const dsp::Sample lo = cfg_.quality.rail_low;
+  const dsp::Sample hi = cfg_.quality.rail_high;
+  while (!xs.empty()) {
+    // A run never crosses an SQI chunk boundary, so only its last sample
+    // can carry a quality update. It also stops short of an out-of-range
+    // code, which (corrupt input, rare) is clamped to the rails and fed as
+    // a run of its own.
+    std::span<const dsp::Sample> run = xs.first(
+        cfg_.quality_gating ? std::min(xs.size(), sqi_.until_boundary())
+                            : xs.size());
+    const auto bad = std::find_if(run.begin(), run.end(),
+                                  [lo, hi](dsp::Sample x) {
+                                    return x < lo || x > hi;
+                                  });
+    dsp::Sample railed = 0;
+    if (bad == run.begin()) {
+      railed = std::clamp(run.front(), lo, hi);
+      ++stats_.clamped;
+      run = std::span<const dsp::Sample>(&railed, 1);
+    } else {
+      run = run.first(static_cast<std::size_t>(bad - run.begin()));
+    }
+    xs = xs.subspan(run.size());
+    const std::size_t first = input_index_;
+    input_index_ += run.size();
+    const bool was_bad = quality_state_ == dsp::SignalQuality::Bad;
+    const std::optional<dsp::SignalQuality> update =
+        cfg_.quality_gating ? sqi_.push_run(run) : std::nullopt;
+    // Every sample before the chunk boundary is gated by the state the run
+    // started in.
+    const std::size_t body = update ? run.size() - 1 : run.size();
+    accept(run.first(body), first, was_bad, sink);
+    if (update)
+      end_sqi_chunk(*update, run.last(1), first + body, was_bad, sink);
+  }
+  // Conditioned samples only matter once they complete the rolling buffer,
+  // so the pending batch is conditioned in one go as soon as it reaches
+  // that crossing — the scan fires in the call that makes it possible, and
+  // never later than on the per-sample path.
+  if (buffer_.size() + conditioner_.ready() >= chunk_samples_)
+    sync_conditioner(sink);
+}
+
+void StreamingBeatMonitor::end_sqi_chunk(dsp::SignalQuality update,
+                                         std::span<const dsp::Sample> last,
+                                         std::size_t index, bool was_bad,
+                                         const PendingBeatSink& sink) {
+  if (update != quality_state_) {
+    // A real transition: drain the conditioner's pending batch first so
+    // every scan that would have preceded this moment on the per-sample
+    // path happens before the transition is recorded. Same-state SQI
+    // updates (the common case, one per SQI chunk) skip the sync and keep
+    // the conditioner batching across the whole block.
+    sync_conditioner(sink);
+    on_quality_update(update, sink);
+  }
+  // The boundary sample is gated after the transition: suppressed while in,
+  // entering or just leaving Bad. Recovery re-arms on the next accepted
+  // sample.
+  accept(last, index, was_bad || quality_state_ == dsp::SignalQuality::Bad,
+         sink);
+}
+
+void StreamingBeatMonitor::accept(std::span<const dsp::Sample> run,
+                                  std::size_t first, bool suppressed,
+                                  const PendingBeatSink& sink) {
+  if (run.empty()) return;
+  if (suppressed) {
+    stats_.bad_signal_samples += run.size();
+    return;
+  }
+  if (needs_rearm_) rearm(first);
+  do {
+    run = run.subspan(conditioner_.defer(run, cond_out_));
+    if (!cond_out_.empty()) append_conditioned(sink);
+  } while (!run.empty());
 }
 
 MonitorBeat StreamingBeatMonitor::classify(const PendingBeat& pb) {
@@ -168,9 +210,12 @@ dsp::SignalQuality StreamingBeatMonitor::quality_at(
 
 void StreamingBeatMonitor::scan(bool final_pass, const PendingBeatSink& sink) {
   // Wavelet (bit-identical to dsp::detect_r_peaks, the pre-block-kernel
-  // detector) or the adaptive fast path, per cfg_.peak.kind; either way the
-  // member scratch keeps the steady-state scan allocation-free.
-  kernels::detect_r_peaks_kind(buffer_, cfg_.peak, peak_scratch_, peaks_);
+  // detector) or the adaptive fast path, per cfg_.peak.kind. The scratch is
+  // per-thread workspace shared by every monitor on the thread, which keeps
+  // the steady-state scan allocation-free and cache-hot; it holds nothing
+  // once the detector returns, and the sink runs only after that.
+  thread_local kernels::PeakScratch peak_scratch;
+  kernels::detect_r_peaks_kind(buffer_, cfg_.peak, peak_scratch, peaks_);
   const std::vector<std::size_t>& peaks = peaks_;
 
   // A beat is finalized once its full window fits safely inside the chunk:
@@ -259,15 +304,18 @@ void StreamingBeatMonitor::flush(const PendingBeatSink& sink) {
 }
 
 std::size_t StreamingBeatMonitor::memory_samples() const {
-  // Buffer high-water mark is one full chunk; conditioner state on top.
-  // The SQI estimator is O(1) (a handful of accumulators) and the
-  // transition history is bounded by the handful of state changes a chunk
-  // can witness, so neither moves the figure.
-  return chunk_samples_ + conditioner_.memory_samples();
+  // Buffer high-water mark is one full chunk; conditioner state (history +
+  // a pending batch capped at kMaxBatch) and the output staging of one
+  // batch on top, whatever the caller's block size. The SQI estimator is
+  // O(1) (a handful of accumulators) and the transition history is bounded
+  // by the handful of state changes a chunk can witness, so neither moves
+  // the figure.
+  return chunk_samples_ + conditioner_.memory_samples() +
+         kernels::BlockConditioner::kMaxBatch;
 }
 
 std::size_t StreamingBeatMonitor::latency() const {
-  return conditioner_.delay() + conditioner_.batch_slack() + chunk_samples_;
+  return conditioner_.delay() + chunk_samples_;
 }
 
 }  // namespace hbrp::core

@@ -3,9 +3,11 @@
 // RealTimePipeline (core/pipeline.hpp) emulates the WBSN application over a
 // whole recorded lead at once; this class is the streaming equivalent with
 // bounded memory, fed ADC codes in blocks of any size, which is what
-// actually runs on the node: a block conditioner
-// (kernels/dsp_condition.hpp) batches raw samples and feeds a rolling
-// analysis buffer of a few seconds; whenever the buffer fills, the
+// actually runs on the node: each block is graded for signal quality one
+// SQI chunk-run at a time, and a block conditioner
+// (kernels/dsp_condition.hpp) defers the accepted samples and conditions
+// them in one batch when they complete a rolling analysis buffer of a few
+// seconds; whenever the buffer fills, the
 // configured peak detector (wavelet by default, or the adaptive-threshold
 // fast path — see dsp::PeakDetectorKind) scans it, beats far enough from
 // the buffer's right edge are finalized and handed to the sink, which
@@ -39,7 +41,6 @@
 #include "drift/tracker.hpp"
 #include "embedded/bundle.hpp"
 #include "kernels/dsp_condition.hpp"
-#include "kernels/dsp_peaks.hpp"
 
 namespace hbrp::core {
 
@@ -124,11 +125,14 @@ class StreamingBeatMonitor {
   /// window is valid.
   MonitorBeat classify(const PendingBeat& pb);
 
-  /// Worst-case number of samples held across all internal state.
+  /// Worst-case number of samples held across all internal state, whatever
+  /// block size the caller feeds. The DSP kernels' scratch is per-thread
+  /// workspace shared by every monitor on the thread and is not counted.
   std::size_t memory_samples() const;
 
-  /// Input-to-report latency bound, in samples (conditioner delay plus its
-  /// batching slack plus one full analysis chunk).
+  /// Input-to-report latency bound, in samples: conditioner delay plus one
+  /// full analysis chunk. Deferred conditioning adds no slack, because
+  /// push_block() conditions as soon as a scan is due.
   std::size_t latency() const;
 
   /// Current acquisition-quality state of the degradation machine.
@@ -161,7 +165,18 @@ class StreamingBeatMonitor {
   drift::DriftTracker* drift_tracker() const { return drift_; }
 
  private:
-  void push_impl(dsp::Sample x, const PendingBeatSink& sink);
+  /// The SQI chunk ended on `last` (absolute index `index`): applies the
+  /// quality update, then gates that boundary sample.
+  void end_sqi_chunk(dsp::SignalQuality update,
+                     std::span<const dsp::Sample> last, std::size_t index,
+                     bool was_bad, const PendingBeatSink& sink);
+  /// Defers a run whose samples share one gating decision into the
+  /// conditioner, moving out (and scanning) whatever a full batch produces;
+  /// `suppressed` runs (consumed while in, entering or just leaving Bad)
+  /// are only counted. `first` is the absolute index of the run's first
+  /// sample.
+  void accept(std::span<const dsp::Sample> run, std::size_t first,
+              bool suppressed, const PendingBeatSink& sink);
   void scan(bool final_pass, const PendingBeatSink& sink);
   void on_quality_update(dsp::SignalQuality next, const PendingBeatSink& sink);
   dsp::SignalQuality quality_at(std::size_t absolute) const;
@@ -179,8 +194,10 @@ class StreamingBeatMonitor {
   drift::DriftTracker* drift_ = nullptr;  // opt-in, non-owning
   MonitorConfig cfg_;
   kernels::BlockConditioner conditioner_;
-  dsp::Signal cond_out_;  // conditioner output staging (reused)
-  kernels::PeakScratch peak_scratch_;
+  // Conditioner output staging (reused; at most BlockConditioner::kMaxBatch
+  // samples). Owned here, not in the per-thread kernel workspace, because
+  // the sink runs while it is being drained.
+  dsp::Signal cond_out_;
   std::vector<std::size_t> peaks_;  // detector output (reused)
   dsp::SignalQualityEstimator sqi_;
   dsp::Signal buffer_;           // rolling conditioned samples

@@ -78,30 +78,56 @@ void SignalQualityEstimator::reset() {
   last_ = QualityMetrics{};
 }
 
-std::optional<SignalQuality> SignalQualityEstimator::push(Sample x) {
+std::optional<SignalQuality> SignalQualityEstimator::push_run(
+    std::span<const Sample> xs) {
+  HBRP_ASSERT(xs.size() <= until_boundary());
+  if (xs.empty()) return std::nullopt;
   // Clamp first: corrupt samples far outside the ADC range must degrade
-  // into countable clipping, not overflow the accumulators.
-  const Sample clamped = std::clamp(x, cfg_.rail_low, cfg_.rail_high);
-  if (clamped - cfg_.rail_low <= cfg_.rail_margin ||
-      cfg_.rail_high - clamped <= cfg_.rail_margin)
-    ++clipped_;
-  if (has_prev_) {
-    const std::int64_t jump = std::abs(static_cast<std::int64_t>(clamped) -
-                                       static_cast<std::int64_t>(prev_));
-    if (jump <= cfg_.flat_delta) ++flat_;
-    if (jump >= cfg_.impulse_delta) ++impulses_;
+  // into countable clipping, not overflow the accumulators. The counts stay
+  // in locals and the comparisons feed additions, not branches: whether a
+  // clean sample repeats its predecessor is a coin flip no predictor wins.
+  const Sample lo = cfg_.rail_low;
+  const Sample hi = cfg_.rail_high;
+  std::size_t clipped = 0, flat = 0, impulses = 0;
+  std::int64_t sum = 0, sum_sq = 0;
+  std::size_t i = 0;
+  Sample prev = prev_;
+  if (!has_prev_) {
+    // The first sample since reset() has no predecessor to jump from.
+    prev = std::clamp(xs[0], lo, hi);
+    clipped += static_cast<std::size_t>(prev - lo <= cfg_.rail_margin ||
+                                        hi - prev <= cfg_.rail_margin);
+    sum += prev;
+    sum_sq += static_cast<std::int64_t>(prev) * prev;
+    has_prev_ = true;
+    i = 1;
   }
-  prev_ = clamped;
-  has_prev_ = true;
-  sum_ += clamped;
-  sum_sq_ += static_cast<std::int64_t>(clamped) * clamped;
-  if (++n_ < chunk_samples_) return std::nullopt;
+  for (; i < xs.size(); ++i) {
+    const Sample c = std::clamp(xs[i], lo, hi);
+    clipped += static_cast<std::size_t>(c - lo <= cfg_.rail_margin ||
+                                        hi - c <= cfg_.rail_margin);
+    const std::int64_t jump = std::abs(static_cast<std::int64_t>(c) -
+                                       static_cast<std::int64_t>(prev));
+    flat += static_cast<std::size_t>(jump <= cfg_.flat_delta);
+    impulses += static_cast<std::size_t>(jump >= cfg_.impulse_delta);
+    sum += c;
+    sum_sq += static_cast<std::int64_t>(c) * c;
+    prev = c;
+  }
+  clipped_ += clipped;
+  flat_ += flat;
+  impulses_ += impulses;
+  sum_ += sum;
+  sum_sq_ += sum_sq;
+  // prev_ is kept across chunk boundaries so the first delta of the next
+  // chunk is still meaningful.
+  prev_ = prev;
+  n_ += xs.size();
+  if (n_ < chunk_samples_) return std::nullopt;
 
   const SignalQuality grade = grade_chunk();
   n_ = clipped_ = flat_ = impulses_ = 0;
   sum_ = sum_sq_ = 0;
-  // prev_ is kept across the boundary so the first delta of the next chunk
-  // is still meaningful.
 
   if (grade == SignalQuality::Good) {
     if (state_ != SignalQuality::Good &&

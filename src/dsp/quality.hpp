@@ -117,7 +117,16 @@ class SignalQualityEstimator {
 
   /// Feeds one raw ADC sample. Returns the (possibly unchanged) machine
   /// state whenever a chunk boundary is crossed, nullopt otherwise.
-  std::optional<SignalQuality> push(Sample x);
+  std::optional<SignalQuality> push(Sample x) { return push_run({&x, 1}); }
+
+  /// Feeds a run of raw ADC codes that ends at or before the next chunk
+  /// boundary (size <= until_boundary()): one accumulation loop over the
+  /// run, then — when its last sample completes the chunk — the grading and
+  /// state update push() does. Same result as push() per sample.
+  std::optional<SignalQuality> push_run(std::span<const Sample> xs);
+
+  /// Samples still missing from the current chunk (1..chunk_samples()).
+  std::size_t until_boundary() const { return chunk_samples_ - n_; }
 
   /// Current state of the hysteresis machine.
   SignalQuality state() const { return state_; }

@@ -235,73 +235,80 @@ void condition_ecg_block_avx2(const Signal& x, const dsp::FilterConfig& cfg,
 }
 #endif
 
+namespace {
+
+/// Per-thread conditioning workspace: nothing in it survives a call, so
+/// every BlockConditioner on a thread shares it.
+struct ConditionWorkspace {
+  ConditionScratch scratch;
+  Signal out;
+};
+
+ConditionWorkspace& thread_workspace() {
+  thread_local ConditionWorkspace ws;
+  return ws;
+}
+
+}  // namespace
+
 BlockConditioner::BlockConditioner(const dsp::FilterConfig& cfg) : cfg_(cfg) {
   check_config(cfg);
   delay_ = (cfg.baseline_open_len - 1) + (cfg.baseline_close_len - 1) +
            2 * (cfg.noise_len - 1);
-  history_.reserve(2 * delay_);
-  pending_.reserve(kMinBatch);
-}
-
-void BlockConditioner::push(dsp::Sample x, Signal& out) {
-  pending_.push_back(x);
-  if (pending_.size() >= kMinBatch) process_pending(out);
+  raw_.reserve(memory_samples());
 }
 
 void BlockConditioner::push_block(std::span<const Sample> xs, Signal& out) {
-  pending_.insert(pending_.end(), xs.begin(), xs.end());
-  if (pending_.size() >= kMinBatch) process_pending(out);
+  while (!xs.empty()) xs = xs.subspan(defer(xs, out));
+  if (pending() >= kMinBatch) process_pending(out);
 }
 
 void BlockConditioner::sync(Signal& out) {
-  if (!pending_.empty()) process_pending(out);
+  if (pending() != 0) process_pending(out);
 }
 
 void BlockConditioner::process_pending(Signal& out) {
-  const std::uint64_t total = consumed_ + pending_.size();
+  const std::uint64_t total = consumed_ + pending();
   // Condition over the raw history plus the new batch. Every output of
   // index a in [emitted_, total - delay_) reads inputs [a - delay_,
   // a + delay_], and the window keeps 2*delay_ samples of left context, so
   // those outputs never see the window's replicated left border: each one
   // is bit-identical to conditioning the whole stream from sample 0.
-  window_.clear();
-  window_.insert(window_.end(), history_.begin(), history_.end());
-  window_.insert(window_.end(), pending_.begin(), pending_.end());
-  const std::uint64_t w0 = total - window_.size();
-  condition_ecg_block(window_, cfg_, scratch_, window_out_);
+  ConditionWorkspace& ws = thread_workspace();
+  const std::uint64_t w0 = total - raw_.size();
+  condition_ecg_block(raw_, cfg_, ws.scratch, ws.out);
   const std::uint64_t new_emit = total > delay_ ? total - delay_ : 0;
   if (new_emit > emitted_) {
     const auto lo = static_cast<std::ptrdiff_t>(emitted_ - w0);
     const auto hi = static_cast<std::ptrdiff_t>(new_emit - w0);
-    out.insert(out.end(), window_out_.begin() + lo, window_out_.begin() + hi);
+    out.insert(out.end(), ws.out.begin() + lo, ws.out.begin() + hi);
     emitted_ = new_emit;
   }
-  history_.insert(history_.end(), pending_.begin(), pending_.end());
-  if (history_.size() > 2 * delay_)
-    history_.erase(history_.begin(),
-                   history_.end() - static_cast<std::ptrdiff_t>(2 * delay_));
+  if (raw_.size() > 2 * delay_)
+    raw_.erase(raw_.begin(),
+               raw_.end() - static_cast<std::ptrdiff_t>(2 * delay_));
+  history_ = raw_.size();
   consumed_ = total;
-  pending_.clear();
 }
 
 void BlockConditioner::flush_tail(Signal& out) {
-  if (!pending_.empty()) process_pending(out);
+  sync(out);
   if (consumed_ > emitted_) {
     // The final window's batch right border replicates the last sample —
     // exactly the tail dsp::StreamingConditioner::flush() emits.
-    window_.assign(history_.begin(), history_.end());
-    const std::uint64_t w0 = consumed_ - window_.size();
-    condition_ecg_block(window_, cfg_, scratch_, window_out_);
+    ConditionWorkspace& ws = thread_workspace();
+    const std::uint64_t w0 = consumed_ - raw_.size();
+    condition_ecg_block(raw_, cfg_, ws.scratch, ws.out);
     out.insert(out.end(),
-               window_out_.begin() + static_cast<std::ptrdiff_t>(emitted_ - w0),
-               window_out_.end());
+               ws.out.begin() + static_cast<std::ptrdiff_t>(emitted_ - w0),
+               ws.out.end());
   }
   reset();
 }
 
 void BlockConditioner::reset() {
-  history_.clear();
-  pending_.clear();
+  raw_.clear();
+  history_ = 0;
   consumed_ = 0;
   emitted_ = 0;
 }

@@ -17,13 +17,14 @@
 // conditioned sample. tests/test_kernels_dsp.cpp gates both claims.
 //
 // BlockConditioner is the streaming wrapper the beat monitor uses: it
-// accepts samples in arbitrary-sized pushes, defers them into a pending
-// batch, and runs the block kernel over a bounded history window whenever
-// enough samples accumulate — emitting exactly the sample sequence
+// accepts samples in arbitrary-sized pushes, defers them into a bounded
+// pending batch, and runs the block kernel over a bounded history window
+// once per caller batch — emitting exactly the sample sequence
 // dsp::StreamingConditioner would emit per-sample (same fixed group delay,
 // same left-border replication, same flush tail), with bounded memory.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -97,21 +98,61 @@ void average_round_avx2(const dsp::Sample* a, const dsp::Sample* b,
 /// fixed `delay()`, then `flush_tail()` finishes the right border), but
 /// amortized through condition_ecg_block over a bounded history window.
 ///
-/// Usage: call push()/push_block() freely; conditioned samples are appended
-/// to `out` in order, possibly in bursts (the conditioner defers work until
-/// a batch is worth processing). sync() forces everything already pushed
-/// through — after it, all outputs up to (inputs - delay()) have been
-/// appended. flush_tail() emits the remaining delay() border outputs with
-/// batch right-edge semantics and resets the conditioner.
+/// Usage: call push_block() freely, or defer() blocks and sync() when the
+/// output is needed (ready() says how much a sync() would emit);
+/// conditioned samples are appended to `out` in order, in bursts of at
+/// most kMaxBatch (the conditioner defers work until a batch is worth
+/// processing, and never holds more than kMaxBatch pending).
+/// sync() forces everything already pushed through — after it, all outputs
+/// up to (inputs - delay()) have been appended. flush_tail() emits the
+/// remaining delay() border outputs with batch right-edge semantics and
+/// resets the conditioner. The output never depends on where the batches
+/// were cut.
+///
+/// The kernel scratch and the conditioned window are per-thread workspace
+/// shared by every conditioner on that thread: they hold nothing between
+/// calls, so a thread serving many streams keeps one cache-hot set.
 class BlockConditioner {
  public:
+  /// Largest pending batch: a deferred batch that reaches it is conditioned
+  /// at once, so memory stays bounded whatever block size the caller
+  /// feeds. It covers one rolling-buffer slide of the default beat monitor
+  /// (~2060 samples), so a monitor fed sample by sample conditions once per
+  /// slide (window/batch ratio < 1.18x at the default 224-sample delay).
+  static constexpr std::size_t kMaxBatch = 2560;
+
   explicit BlockConditioner(const dsp::FilterConfig& cfg = {});
 
   /// Feeds one raw sample; appends zero or more conditioned samples.
-  void push(dsp::Sample x, dsp::Signal& out);
+  void push(dsp::Sample x, dsp::Signal& out) { push_block({&x, 1}, out); }
 
-  /// Feeds a whole block; appends zero or more conditioned samples.
+  /// Feeds a whole block: defer()s all of it, then conditions the pending
+  /// batch once it holds kMinBatch samples. Appends zero or more
+  /// conditioned samples.
   void push_block(std::span<const dsp::Sample> xs, dsp::Signal& out);
+
+  /// Queues the head of `xs` without conditioning it, up to the free room
+  /// in the pending batch; a batch that fills to kMaxBatch is conditioned
+  /// into `out` before returning. Returns the number of samples taken
+  /// (>= 1 for a non-empty `xs`).
+  std::size_t defer(std::span<const dsp::Sample> xs, dsp::Signal& out) {
+    const std::size_t take = std::min(xs.size(), kMaxBatch - pending());
+    if (take == 1)  // one-sample pushes skip the range-insert machinery
+      raw_.push_back(xs.front());
+    else
+      raw_.insert(raw_.end(), xs.begin(),
+                  xs.begin() + static_cast<std::ptrdiff_t>(take));
+    if (pending() == kMaxBatch) process_pending(out);
+    return take;
+  }
+
+  /// Number of outputs sync() would append now.
+  std::size_t ready() const {
+    const std::uint64_t total = consumed_ + pending();
+    return total > delay_ + emitted_
+               ? static_cast<std::size_t>(total - delay_ - emitted_)
+               : 0;
+  }
 
   /// Processes everything pending: afterwards every output of index
   /// < inputs - delay() has been appended (exactly the samples
@@ -130,31 +171,30 @@ class BlockConditioner {
   /// dsp::StreamingConditioner::delay()).
   std::size_t delay() const { return delay_; }
 
-  /// Worst-case extra latency on top of delay(): outputs may be withheld
-  /// until a batch fills.
+  /// Worst-case extra latency on top of delay() once a push_block()
+  /// returns: outputs may be withheld until a batch fills.
   std::size_t batch_slack() const { return kMinBatch - 1; }
 
-  /// Upper bound on retained samples (history window + pending batch;
-  /// kernel scratch is proportional to the same figure).
-  std::size_t memory_samples() const { return 2 * delay_ + kMinBatch; }
+  /// Upper bound on retained samples (history window + pending batch). The
+  /// per-thread kernel scratch is proportional to the same figure.
+  std::size_t memory_samples() const { return 2 * delay_ + kMaxBatch; }
 
  private:
-  void process_pending(dsp::Signal& out);
-
-  // Smallest batch worth paying the 2*delay() history re-scan for: at 256
-  // the amortized window/batch ratio is < 2.8x even for the default 224-
-  // sample delay, and pump-sized blocks (thousands of samples) approach 1x.
+  // Smallest batch push_block() pays the 2*delay() history re-scan for: at
+  // 256 the amortized window/batch ratio is < 2.8x even for the default
+  // 224-sample delay.
   static constexpr std::size_t kMinBatch = 256;
+
+  std::size_t pending() const { return raw_.size() - history_; }
+  void process_pending(dsp::Signal& out);
 
   dsp::FilterConfig cfg_;
   std::size_t delay_ = 0;
-  std::vector<dsp::Sample> history_;  ///< last <= 2*delay_ consumed samples
-  std::vector<dsp::Sample> pending_;  ///< accepted, not yet processed
-  std::uint64_t consumed_ = 0;        ///< samples moved into history_
-  std::uint64_t emitted_ = 0;         ///< conditioned samples appended
-  ConditionScratch scratch_;
-  dsp::Signal window_;
-  dsp::Signal window_out_;
+  /// Last <= 2*delay_ consumed samples, followed by the pending batch.
+  std::vector<dsp::Sample> raw_;
+  std::size_t history_ = 0;    ///< raw_[0, history_) is consumed history
+  std::uint64_t consumed_ = 0; ///< samples moved into history
+  std::uint64_t emitted_ = 0;  ///< conditioned samples appended
 };
 
 }  // namespace hbrp::kernels

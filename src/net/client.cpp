@@ -68,8 +68,8 @@ void SensorNodeClient::push(double x) {
 
 void SensorNodeClient::push(std::span<const dsp::Sample> xs) {
   if (monitor_.has_value()) {
-    // Block fast path: the monitor's conditioner batches across the whole
-    // span instead of sample-at-a-time.
+    // One push_block for the whole span: the monitor grades quality per
+    // SQI chunk-run and conditions the span in one batch once a scan is due.
     stats_.samples_in += xs.size();
     monitor_->push_block(xs, pending_sink_);
     return;

@@ -218,6 +218,11 @@ void GatewayServer::enqueue_frame(Conn& c, FrameType type, std::uint64_t seq,
   if (c.out.size() - c.out_head > cfg_.send_buffer_cap) c.overflowed = true;
 }
 
+std::size_t GatewayServer::drift_nodes_tracked() const {
+  const std::lock_guard<std::mutex> lock(drift_mutex_);
+  return drift_counted_high_.size();
+}
+
 void GatewayServer::finalize_close(Conn& c) {
   c.alive = false;
   c.owner->poller.unwatch(c.sock.fd());
@@ -429,10 +434,21 @@ void GatewayServer::on_full_beat(Conn& c, const FrameView& f) {
       // exactly-once.
       const std::lock_guard<std::mutex> lock(drift_mutex_);
       const auto [it, inserted] =
-          drift_counted_high_.try_emplace(c.node_id, f.seq);
-      if (inserted || f.seq > it->second) {
-        it->second = f.seq;
+          drift_counted_high_.try_emplace(c.node_id, DriftHigh{f.seq, 0});
+      if (inserted || f.seq > it->second.seq) {
+        it->second.seq = f.seq;
         stats_.drift_escalations_rx.fetch_add(1, std::memory_order_relaxed);
+      }
+      it->second.touched = ++drift_clock_;
+      if (inserted && drift_counted_high_.size() > cfg_.max_connections) {
+        // Node-id churn: forget the node counted longest ago (never the
+        // one just inserted, which holds the newest stamp).
+        const auto oldest = std::min_element(
+            drift_counted_high_.begin(), drift_counted_high_.end(),
+            [](const auto& a, const auto& b) {
+              return a.second.touched < b.second.touched;
+            });
+        drift_counted_high_.erase(oldest);
       }
     }
   }
@@ -478,6 +494,11 @@ void GatewayServer::dispatch(Conn& c, const FrameView& f) {
       return;
     case FrameType::Bye:
       // Graceful close: flush the session tail as verdicts, drain, close.
+      // The node is done, so its drift dedup entry goes too.
+      if (c.hello_done) {
+        const std::lock_guard<std::mutex> lock(drift_mutex_);
+        drift_counted_high_.erase(c.node_id);
+      }
       close_conn(c, /*deliver_tail=*/true);
       return;
     case FrameType::ModelPush:

@@ -214,6 +214,9 @@ class GatewayServer {
   const service::FleetEngine& engine() const { return engine_; }
   /// Per-reactor counters (connections, frames, wakeups) as a JSON array.
   std::string reactors_json() const;
+  /// Nodes whose drift-escalation dedup high-water is held (at most
+  /// max_connections once their connections are gone).
+  std::size_t drift_nodes_tracked() const;
 
   // --- model lifecycle -----------------------------------------------------
 
@@ -292,8 +295,16 @@ class GatewayServer {
   /// retransmitted escalation arriving on a fresh connection — possibly
   /// on a *different reactor* — is still recognized and the fleet rollup
   /// is counted exactly once. Mutex-guarded for exactly that reason.
-  std::mutex drift_mutex_;
-  std::map<std::uint32_t, std::uint64_t> drift_counted_high_;
+  /// Bounded under node-id churn: a clean BYE erases the node's entry, and
+  /// the entries abrupt disconnects leave behind are capped at
+  /// max_connections, the least recently counted node evicted first.
+  struct DriftHigh {
+    std::uint64_t seq = 0;
+    std::uint64_t touched = 0;  ///< drift_clock_ at the last count
+  };
+  mutable std::mutex drift_mutex_;
+  std::map<std::uint32_t, DriftHigh> drift_counted_high_;
+  std::uint64_t drift_clock_ = 0;
   /// Versioned model store (slots, promote/rollback); internally locked.
   lifecycle::BundleRegistry registry_;
   /// Guards the deployment targets below. Pushes and HELLOs may land on

@@ -188,10 +188,13 @@ void Session::process_drained(core::BeatBatch& shard_batch) {
     }
     pending_.push_back(p);
   };
-  // Feed the drained samples in stamp-delimited blocks: every sample in a
-  // block shares its enqueue stamp, so the monitor's block path (which
-  // batches conditioning across the whole run) sees the same per-beat
-  // stamps the old per-sample loop produced.
+  // Feed the drained samples in stamp-delimited blocks, one push_block per
+  // block: every sample in a block shares its enqueue stamp, so each beat
+  // the block finalizes carries the stamp of the samples that completed
+  // it. The monitor grades quality per SQI chunk-run and conditions the
+  // accepted samples in one batch once a scan is due (see
+  // core/streaming.hpp), so a drain costs a few kernel passes, not
+  // per-sample work.
   std::size_t i = 0;
   while (i < drain_buf_.size()) {
     const std::uint64_t absolute = drain_base_ + i;

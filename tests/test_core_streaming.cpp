@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
 
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
@@ -360,5 +361,66 @@ TEST_F(StreamingMonitorTest, GoldenVerdictDigest) {
   }
 }
 
+// The conditioner's kernel scratch and window and the detector's scratch are
+// per-thread workspace shared by every monitor on the thread. Two monitors
+// with different records, detectors and chunk lengths, fed interleaved
+// random blocks on one thread, must each report exactly what they report
+// when run alone.
+TEST_F(StreamingMonitorTest, SharedScratchHoldsNoStateAcrossMonitors) {
+  const auto faulted = golden_inputs().back();  // wavelet, with transitions
+  const auto clean = monitor_record(4107, 75.0).leads[0];
+  MonitorConfig wavelet_cfg;
+  MonitorConfig adaptive_cfg;
+  adaptive_cfg.peak.kind = hbrp::dsp::PeakDetectorKind::AdaptiveThreshold;
+  adaptive_cfg.chunk_s = 5.5;
+
+  using Sig = std::tuple<std::size_t, hbrp::ecg::BeatClass,
+                         hbrp::dsp::SignalQuality>;
+  const auto sigs = [](const std::vector<MonitorBeat>& beats) {
+    std::vector<Sig> out;
+    for (const auto& b : beats)
+      out.emplace_back(b.r_peak, b.predicted, b.quality);
+    return out;
+  };
+  StreamingBeatMonitor alone_a(*bundle_, wavelet_cfg);
+  StreamingBeatMonitor alone_b(*bundle_, adaptive_cfg);
+  const auto expect_a = sigs(run_blocks(alone_a, faulted));
+  const auto expect_b = sigs(run_blocks(alone_b, clean));
+  ASSERT_GT(expect_a.size(), 40u);
+  ASSERT_GT(expect_b.size(), 40u);
+  ASSERT_GT(alone_a.stats().degradations, 0u);
+
+  hbrp::math::Rng rng(4108);
+  for (int trial = 0; trial < 3; ++trial) {
+    StreamingBeatMonitor a(*bundle_, wavelet_cfg);
+    StreamingBeatMonitor b(*bundle_, adaptive_cfg);
+    std::vector<MonitorBeat> beats_a, beats_b;
+    const auto sink_a = classify_into(a, beats_a);
+    const auto sink_b = classify_into(b, beats_b);
+    std::size_t ia = 0, ib = 0;
+    while (ia < faulted.size() || ib < clean.size()) {
+      const bool pick_a =
+          ib == clean.size() ||
+          (ia < faulted.size() && rng.uniform_int(0, 1) == 0);
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 4096));
+      if (pick_a) {
+        const std::size_t take = std::min(n, faulted.size() - ia);
+        a.push_block(std::span(faulted).subspan(ia, take), sink_a);
+        ia += take;
+      } else {
+        const std::size_t take = std::min(n, clean.size() - ib);
+        b.push_block(std::span(clean).subspan(ib, take), sink_b);
+        ib += take;
+      }
+    }
+    a.flush(sink_a);
+    b.flush(sink_b);
+    EXPECT_EQ(sigs(beats_a), expect_a) << "trial " << trial;
+    EXPECT_EQ(sigs(beats_b), expect_b) << "trial " << trial;
+    EXPECT_EQ(a.stats().bad_signal_samples,
+              alone_a.stats().bad_signal_samples);
+    EXPECT_EQ(a.stats().suspect_beats, alone_a.stats().suspect_beats);
+  }
+}
 
 }  // namespace

@@ -4,11 +4,15 @@
 // Also the double-to-code sanitizer that sits in front of the integer path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "dsp/quality.hpp"
 #include "ecg/synth.hpp"
 #include "math/check.hpp"
+#include "math/rng.hpp"
 
 namespace {
 
@@ -137,6 +141,58 @@ TEST(SignalQuality, Int32GarbageIsClampedNotOverflowed) {
                        : std::numeric_limits<Sample>::min();
   EXPECT_EQ(run_worst(est, garbage), SignalQuality::Bad);
   EXPECT_EQ(est.last_chunk().clipped, est.chunk_samples());
+}
+
+TEST(SignalQuality, RunsGradeLikeSingleSamples) {
+  // Clean signal, then lead-off, saturation, an impulse burst and int32
+  // garbage: push_run over random run lengths must reproduce push()'s
+  // update stream and per-chunk metrics exactly.
+  Signal sig = synth_lead(11, 10.0);
+  sig.insert(sig.end(), 500, 1024);
+  sig.insert(sig.end(), 400, 2047);
+  const Signal tail = synth_lead(12, 6.0);
+  for (std::size_t i = 0; i < tail.size(); ++i)
+    sig.push_back(i % 37 == 0 ? tail[i] + 900 : tail[i]);
+  for (int i = 0; i < 300; ++i)
+    sig.push_back(i % 2 == 0 ? std::numeric_limits<Sample>::max()
+                             : std::numeric_limits<Sample>::min());
+  sig.insert(sig.end(), tail.begin(), tail.end());
+
+  struct Update {
+    SignalQuality state;
+    std::size_t clipped, flat, impulses;
+    double variance;
+    bool operator==(const Update&) const = default;
+  };
+  const auto note = [](const SignalQualityEstimator& est, SignalQuality q) {
+    const auto& m = est.last_chunk();
+    return Update{q, m.clipped, m.flat, m.impulses, m.variance};
+  };
+  SignalQualityEstimator single;
+  std::vector<Update> expected;
+  for (const Sample x : sig)
+    if (const auto q = single.push(x)) expected.push_back(note(single, *q));
+  const auto reached = [&expected](SignalQuality q) {
+    return std::any_of(expected.begin(), expected.end(),
+                       [q](const Update& u) { return u.state == q; });
+  };
+  ASSERT_TRUE(reached(SignalQuality::Suspect) && reached(SignalQuality::Bad));
+
+  hbrp::math::Rng rng(5);
+  for (int trial = 0; trial < 5; ++trial) {
+    SignalQualityEstimator runs;
+    std::vector<Update> got;
+    std::span<const Sample> xs(sig);
+    while (!xs.empty()) {
+      const auto n = std::min<std::size_t>(
+          {xs.size(), runs.until_boundary(),
+           static_cast<std::size_t>(rng.uniform_int(1, 400))});
+      if (const auto q = runs.push_run(xs.first(n)))
+        got.push_back(note(runs, *q));
+      xs = xs.subspan(n);
+    }
+    EXPECT_EQ(got, expected) << "trial " << trial;
+  }
 }
 
 TEST(SignalQuality, ResetReturnsToInitialState) {

@@ -169,7 +169,8 @@ TEST(KernelsDspConditioner, DelayAndMemoryContract) {
   EXPECT_EQ(block.delay(), ref.delay());
   EXPECT_GT(block.batch_slack(), 0u);
   // The monitor budgets this figure; it must bound history + pending.
-  EXPECT_EQ(block.memory_samples(), 2 * block.delay() + 256);
+  EXPECT_EQ(block.memory_samples(),
+            2 * block.delay() + kernels::BlockConditioner::kMaxBatch);
 }
 
 // --- wavelet_decompose_block vs dsp::wavelet_decompose ---------------------

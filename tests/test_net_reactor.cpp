@@ -1,11 +1,14 @@
 // Multi-reactor gateway tests: per-session verdict bit-identity across
 // reactor counts (with concurrent mixed wards), the same identity through
 // chaos-proxy fragmentation, FULL_BEAT exactly-once dedup when kills force
-// reconnects onto different reactors, the adaptive idle backoff, and the
-// poll(2) fallback backend.
+// reconnects onto different reactors, bounded drift dedup state under
+// node-id churn, and the adaptive idle backoff.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <set>
@@ -17,6 +20,8 @@
 #include "ecg/synth.hpp"
 #include "net/client.hpp"
 #include "net/gateway.hpp"
+#include "net/socket.hpp"
+#include "net/wire.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/episodes.hpp"
 #include "scenario/runner.hpp"
@@ -239,6 +244,119 @@ TEST_F(NetReactorTest, KillsAndReconnectsKeepUploadsExactlyOnce) {
   for (const auto& v : wire.verdicts) seqs.insert(v.seq);
   EXPECT_EQ(seqs.size(), wire.verdicts.size());
   EXPECT_EQ(wire.tx.verdicts_rx, wire.tx.beats_uploaded);
+}
+
+// A raw node connection speaking just enough protocol to upload one
+// drift escalation (a FULL_BEAT with a normal class and Good quality).
+class RawNode {
+ public:
+  explicit RawNode(std::uint16_t port) : sock_(net::connect_loopback(port)) {
+    EXPECT_TRUE(sock_.valid());
+    pollfd p{sock_.fd(), POLLOUT, 0};
+    EXPECT_GT(::poll(&p, 1, 2000), 0);
+  }
+
+  void send(net::FrameType type, std::uint64_t seq,
+            std::span<const unsigned char> payload) {
+    std::vector<unsigned char> bytes;
+    net::append_frame(bytes, type, seq, payload);
+    std::size_t off = 0;
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (off < bytes.size() && Clock::now() < deadline) {
+      const auto r = net::send_some(
+          sock_.fd(), std::span<const unsigned char>(bytes).subspan(off));
+      off += r.n;
+      ASSERT_FALSE(r.error);
+      if (r.would_block)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(off, bytes.size());
+  }
+
+  void hello(std::uint32_t node_id, std::size_t window) {
+    net::HelloMsg m;
+    m.node_id = node_id;
+    m.policy = net::TxPolicy::Selective;
+    m.window = static_cast<std::uint16_t>(window);
+    m.fs_hz = 360;
+    send(net::FrameType::Hello, 0, net::encode_hello(m));
+  }
+
+  void escalation(std::uint64_t seq, std::size_t window) {
+    net::FullBeatMsg m;
+    m.r_peak = 1000 * seq;
+    m.beat_class = static_cast<std::uint8_t>(ecg::BeatClass::N);
+    m.quality = static_cast<std::uint8_t>(dsp::SignalQuality::Good);
+    const std::vector<dsp::Sample> w(window, 1024);
+    send(net::FrameType::FullBeat, seq, net::encode_full_beat(m, w));
+  }
+
+  /// Reads (and drops) whatever the gateway sends until it closes.
+  bool await_close() {
+    unsigned char buf[4096];
+    pollfd p{sock_.fd(), POLLIN, 0};
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (Clock::now() < deadline) {
+      (void)::poll(&p, 1, 50);
+      const auto r = net::recv_some(sock_.fd(), buf);
+      if (r.eof || r.error) return true;
+    }
+    return false;
+  }
+
+ private:
+  net::Socket sock_;
+};
+
+bool await_counter(const std::atomic<std::uint64_t>& counter,
+                   std::uint64_t target) {
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (counter.load() < target && Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  return counter.load() >= target;
+}
+
+// Node-id churn must not grow the gateway's per-node drift dedup state:
+// a clean BYE erases the node's entry and what abrupt disconnects leave
+// behind stays within max_connections, while a node that is still tracked
+// keeps its exactly-once escalation count across a reconnect.
+TEST_F(NetReactorTest, NodeChurnKeepsDriftDedupBounded) {
+  net::GatewayConfig gcfg;
+  gcfg.reactors = 2;
+  gcfg.max_connections = 4;
+  GatewayHarness harness(*bundle_, gcfg);
+  const std::size_t window = bundle_->projector().expected_window();
+  const auto& stats = harness.gw.stats();
+
+  constexpr std::uint32_t kNodes = 25;  // the last one drops without BYE
+  for (std::uint32_t node = 1; node <= kNodes; ++node) {
+    RawNode raw(harness.gw.port());
+    raw.hello(node, window);
+    raw.escalation(1, window);
+    ASSERT_TRUE(await_counter(stats.drift_escalations_rx, node))
+        << "node " << node;
+    if (node % 3 == 0) {
+      raw.send(net::FrameType::Bye, 2, {});
+      ASSERT_TRUE(raw.await_close()) << "node " << node;
+    }  // else: dropped without BYE when `raw` goes out of scope
+    EXPECT_LE(harness.gw.drift_nodes_tracked(), gcfg.max_connections)
+        << "node " << node;
+  }
+  EXPECT_EQ(harness.gw.drift_nodes_tracked(), gcfg.max_connections);
+
+  // The last abruptly dropped node reconnects and retransmits its
+  // escalation: it is still tracked, so the rollup does not count it twice.
+  const std::uint64_t full_before = stats.full_beats_rx.load();
+  {
+    RawNode raw(harness.gw.port());
+    raw.hello(kNodes, window);
+    raw.escalation(1, window);
+    ASSERT_TRUE(await_counter(stats.full_beats_rx, full_before + 1));
+    raw.send(net::FrameType::Bye, 2, {});
+    ASSERT_TRUE(raw.await_close());
+  }
+  EXPECT_EQ(stats.drift_escalations_rx.load(), kNodes);
+  EXPECT_EQ(harness.gw.drift_nodes_tracked(), gcfg.max_connections - 1);
 }
 
 // The idle backoff: a gateway with nothing to do must widen its poll
