@@ -36,6 +36,7 @@
 #include "kernels/dsp_wavelet.hpp"
 #include "kernels/fuzzify.hpp"
 #include "kernels/sparse_ternary.hpp"
+#include "math/stats.hpp"
 #include "rp/achlioptas.hpp"
 #include "rp/packed_matrix.hpp"
 #include "rp/projector.hpp"
@@ -472,7 +473,10 @@ std::string json_key_stem(const std::string& name) {
 }
 
 /// Prints the normal console table AND collects every per-iteration time so
-/// main() can emit the flat JSON report the perf gate consumes.
+/// main() can emit the flat JSON report the perf gate consumes. Under
+/// --benchmark_repetitions each key collects one time per repetition and is
+/// reported as their median, so the raw and the derived keys agree; a
+/// single pass reports the same key set with one time each.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -486,22 +490,34 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       // that CPU time does not.
       const double ns_per_op = run.cpu_accumulated_time /
                                static_cast<double>(run.iterations) * 1e9;
-      results_.emplace_back(json_key_stem(run.benchmark_name()), ns_per_op);
+      const std::string stem = json_key_stem(run.benchmark_name());
+      auto it = std::find_if(
+          samples_.begin(), samples_.end(),
+          [&stem](const auto& s) { return s.first == stem; });
+      if (it == samples_.end())
+        samples_.emplace_back(stem, std::vector<double>{ns_per_op});
+      else
+        it->second.push_back(ns_per_op);
     }
   }
 
-  const std::vector<std::pair<std::string, double>>& results() const {
-    return results_;
+  /// Every key in first-run order, with its median over the repetitions.
+  std::vector<std::pair<std::string, double>> results() const {
+    std::vector<std::pair<std::string, double>> out;
+    out.reserve(samples_.size());
+    for (const auto& [stem, ns] : samples_)
+      out.emplace_back(stem, math::median(ns));
+    return out;
   }
 
   double find(const std::string& stem) const {
-    for (const auto& [k, v] : results_)
-      if (k == stem) return v;
+    for (const auto& [k, ns] : samples_)
+      if (k == stem) return math::median(ns);
     return 0.0;
   }
 
  private:
-  std::vector<std::pair<std::string, double>> results_;
+  std::vector<std::pair<std::string, std::vector<double>>> samples_;
 };
 
 }  // namespace

@@ -35,9 +35,11 @@
 #      the committed BENCH_scenarios.json by scripts/robustness_gate.py —
 #      fails when AAMI NDR/ARR degrade, miss/false rates rise, or a
 #      wire-identity/selective-integrity flag goes false. No retry: the
-#      scenario metrics are fully seeded, so any drift is a real behavior
-#      change. A tamper self-check first asserts the gate actually fails
-#      on an injected regression, so a silently broken gate cannot pass;
+#      gated accuracy and identity metrics are fully seeded, so any drift
+#      is a real behavior change (the lossy-chaos byte counts are not, and
+#      only warn). A tamper self-check first asserts the gate actually
+#      fails on an injected regression, so a silently broken gate cannot
+#      pass;
 #   8. drift gate: a quick bench_drift pass (tracker cost, morphology-shift
 #      detection latency, false-alarm sweep, thread/shard identity)
 #      compared against the committed BENCH_drift.json by the same
@@ -85,10 +87,12 @@ ctest --test-dir build --output-on-failure -j
 # has it); this re-run pins the dispatcher to the scalar kernels so both
 # code paths of every block DSP kernel are gated on every CI host. The
 # drift suites ride along because the tracker consumes the projections the
-# kernels produce — its digests must be dispatch-independent too.
+# kernels produce — its digests must be dispatch-independent too — and the
+# Mmd/Delineate suites because MMD delineation runs on the block
+# erode/dilate kernels.
 echo "==== DSP kernel equivalence under HBRP_FORCE_SCALAR=1"
 HBRP_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R 'KernelsDsp|DetectorEquivalence|Drift|Lifecycle' -j
+  -R 'KernelsDsp|DetectorEquivalence|Drift|Lifecycle|Mmd|Delineate' -j
 
 # --- 1b. fleet soak smoke: scaling grid + bit-identity gate ---------------
 # Quick-run reports stay under build/ so a CI pass never dirties the tree

@@ -4,16 +4,21 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "dsp/morphology.hpp"
+#include "kernels/dsp_condition.hpp"
 #include "math/check.hpp"
 
 namespace hbrp::delineation {
 
 dsp::Signal mmd(const dsp::Signal& x, std::size_t length) {
-  const dsp::Signal d = dsp::dilate(x, length);
-  const dsp::Signal e = dsp::erode(x, length);
-  dsp::Signal out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = d[i] + e[i] - 2 * x[i];
+  // Per-thread kernel workspace, reused beat after beat: nothing in it
+  // survives a call, so delineation stays thread-safe.
+  thread_local kernels::ConditionScratch scratch;
+  thread_local dsp::Signal eroded;
+  dsp::Signal out;
+  kernels::dilate_block(x, length, scratch, out);
+  kernels::erode_block(x, length, scratch, eroded);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out[i] = out[i] + eroded[i] - 2 * x[i];
   return out;
 }
 

@@ -22,6 +22,8 @@
 namespace hbrp::delineation {
 
 /// MMD response of `x` at structuring-element scale `length` (odd samples).
+/// Runs on the kernels' block erode/dilate, so it is bit-identical to
+/// dsp::dilate(x) + dsp::erode(x) - 2x on every input.
 dsp::Signal mmd(const dsp::Signal& x, std::size_t length);
 
 struct DelineatorConfig {

@@ -8,6 +8,7 @@
 #include "dsp/morphology.hpp"
 #include "ecg/synth.hpp"
 #include "math/check.hpp"
+#include "math/rng.hpp"
 
 namespace {
 
@@ -33,6 +34,25 @@ TEST(Mmd, NegativeAtPeakPositiveAtValley) {
   const Signal m = mmd(x, 5);
   EXPECT_LT(m[50], 0);
   EXPECT_GT(m[20], 0);
+}
+
+TEST(Mmd, MatchesReferenceOperators) {
+  // mmd() runs on the block kernels; pin it to the dsp reference operators
+  // on short signals like the per-beat crops delineation feeds it: every
+  // length 1..1000 and every odd scale up to 2n+3, so elements longer than
+  // the signal replicate both borders at once.
+  hbrp::math::Rng rng(16);
+  Signal x;
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    x.push_back(static_cast<int>(rng.uniform_int(-1024, 1023)));
+    for (std::size_t len = 1; len <= 2 * n + 3; len += 2) {
+      const Signal d = hbrp::dsp::dilate(x, len);
+      const Signal e = hbrp::dsp::erode(x, len);
+      Signal want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = d[i] + e[i] - 2 * x[i];
+      ASSERT_EQ(mmd(x, len), want) << "n=" << n << " length=" << len;
+    }
+  }
 }
 
 TEST(Mmd, RespondsAtWaveBoundaries) {

@@ -31,8 +31,10 @@ struct ProfileCase {
   const char* name;
 };
 
-// Static storage zero-fills the struct padding, which gtest prints as part of
-// each case's name; temporaries would leave stack bytes there.
+// gtest prints each param into its test's name: print the name, not the
+// struct's bytes (which include the pointer).
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
+
 constexpr ProfileCase kProfileCases[] = {
     {hbrp::ecg::RecordProfile::NormalSinus, "normal"},
     {hbrp::ecg::RecordProfile::PvcOccasional, "pvc"},

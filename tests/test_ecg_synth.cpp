@@ -98,8 +98,10 @@ struct MixCase {
   const char* name;
 };
 
-// Static storage zero-fills the struct padding, which gtest prints as part of
-// each case's name; temporaries would leave stack bytes there.
+// gtest prints each param into its test's name: print the name, not the
+// struct's bytes (which include the pointer).
+void PrintTo(const MixCase& c, std::ostream* os) { *os << c.name; }
+
 constexpr MixCase kMixCases[] = {
     {RecordProfile::NormalSinus, "normal"},
     {RecordProfile::PvcOccasional, "pvc"},

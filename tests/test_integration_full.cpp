@@ -9,12 +9,12 @@
 
 #include <filesystem>
 
-#include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/mitdb.hpp"
+#include "lifecycle/bundle.hpp"
 #include "monitor_helpers.hpp"
 
 namespace {
@@ -46,8 +46,12 @@ TEST(IntegrationFull, TrainPersistDeployClassify) {
   const fs::path model_path =
       fs::temp_directory_path() /
       ("hbrp_integration_" + std::to_string(::getpid()) + ".model");
-  core::save_model(trained, model_path);
-  const auto reloaded = core::load_model(model_path);
+  lifecycle::save_bundle({.version = 1,
+                          .model = trained,
+                          .centroids = {},
+                          .alpha_test = -1.0},
+                         model_path);
+  const auto reloaded = lifecycle::load_bundle(model_path).model;
   fs::remove(model_path);
 
   // 4. A test record that has been through the WFDB on-disk format.

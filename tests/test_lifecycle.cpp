@@ -1,7 +1,7 @@
-// Model lifecycle tests: ModelBundle encode/decode/digest hardening, the
-// deprecated model_io shim, BundleRegistry admission/eviction/rollback
-// edges, deterministic A/B splits, FleetEngine hot-swap identity (the
-// verdict stream splits at the swap boundary into an exact prefix of the
+// Model lifecycle tests: ModelBundle encode/decode/digest and file
+// hardening, BundleRegistry admission/eviction/rollback edges,
+// deterministic A/B splits, FleetEngine hot-swap identity (the verdict
+// stream splits at the swap boundary into an exact prefix of the
 // old model's run and an exact suffix of the new model's run, for any
 // thread/shard count), and the gateway MODEL_PUSH wire path mid-ingest —
 // including every NACK leaving the active model and the live traffic
@@ -15,12 +15,13 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "core/model_io.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
@@ -28,6 +29,8 @@
 #include "lifecycle/bundle.hpp"
 #include "lifecycle/registry.hpp"
 #include "math/check.hpp"
+#include "math/crc32.hpp"
+#include "math/endian.hpp"
 #include "math/rng.hpp"
 #include "net/client.hpp"
 #include "net/gateway.hpp"
@@ -148,15 +151,15 @@ TEST(LifecycleBundle, DigestIsStableAndContentSensitive) {
 
 TEST(LifecycleBundle, CorruptionAnywhereIsRejected) {
   const auto image = lifecycle::encode_bundle(make_bundle(5, 400));
-  // Truncations at every boundary class, plus a sweep of single-bit flips:
-  // the magic, the size field, the CRC and the payload are all covered.
+  // Truncations at every boundary class, plus a single-bit flip of every
+  // byte: the magic, the size field, the CRC and the payload are all covered.
   for (const std::size_t len : {std::size_t{0}, std::size_t{4},
                                 std::size_t{15}, image.size() - 1}) {
     const std::span<const unsigned char> cut(image.data(), len);
     EXPECT_THROW((void)lifecycle::decode_bundle(cut), hbrp::Error)
         << "truncated to " << len;
   }
-  for (std::size_t pos = 0; pos < image.size(); pos += 37) {
+  for (std::size_t pos = 0; pos < image.size(); ++pos) {
     auto bad = image;
     bad[pos] ^= 0x01u;
     EXPECT_THROW((void)lifecycle::decode_bundle(bad), hbrp::Error)
@@ -171,25 +174,198 @@ TEST(LifecycleBundle, SaveLoadIsAtomicAndSelfDescribing) {
   const auto back = lifecycle::load_bundle(path);
   EXPECT_EQ(back.version, 9u);
   EXPECT_EQ(back.model.projector.matrix(), b.model.projector.matrix());
-  // The shim recognizes the bundle magic and loads it as-is.
-  const auto shimmed = lifecycle::load_bundle_or_model(path);
-  EXPECT_EQ(shimmed.version, 9u);
+  EXPECT_EQ(lifecycle::encode_bundle(back), lifecycle::encode_bundle(b));
   fs::remove(path);
 }
 
-// Satellite: old on-disk caches written by core::save_model keep loading
-// through the shim — wrapped as version 1, no drift seeds (the legacy
-// format never carried any).
-TEST(LifecycleBundle, LegacyModelCacheLoadsThroughShim) {
-  const auto path = temp_path("legacy");
-  const core::TrainedClassifier model = make_model(600);
-  core::save_model(model, path);
-  const lifecycle::ModelBundle b = lifecycle::load_bundle_or_model(path);
-  EXPECT_EQ(b.version, 1u);
-  EXPECT_TRUE(b.centroids.centroids.empty());
-  EXPECT_EQ(b.model.projector.matrix(), model.projector.matrix());
-  EXPECT_DOUBLE_EQ(b.model.alpha_train, model.alpha_train);
-  EXPECT_LT(b.alpha_test, 0.0) << "legacy loads deploy at alpha_train";
+// --- model file persistence (save_bundle / load_bundle) --------------------
+
+std::vector<char> slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void spit(const fs::path& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+bool bundles_equal(const lifecycle::ModelBundle& a,
+                   const lifecycle::ModelBundle& b) {
+  return lifecycle::encode_bundle(a) == lifecycle::encode_bundle(b);
+}
+
+TEST(ModelIo, RoundTripPreservesEverything) {
+  const auto path = temp_path("rt");
+  const lifecycle::ModelBundle b = make_bundle(1, 1);
+  lifecycle::save_bundle(b, path);
+  const lifecycle::ModelBundle back = lifecycle::load_bundle(path);
+
+  EXPECT_EQ(back.version, b.version);
+  EXPECT_DOUBLE_EQ(back.alpha_test, b.alpha_test);
+  EXPECT_EQ(back.model.projector.matrix(), b.model.projector.matrix());
+  EXPECT_EQ(back.model.projector.downsample_factor(),
+            b.model.projector.downsample_factor());
+  EXPECT_DOUBLE_EQ(back.model.alpha_train, b.model.alpha_train);
+  for (std::size_t k = 0; k < 8; ++k)
+    for (std::size_t l = 0; l < 3; ++l) {
+      EXPECT_DOUBLE_EQ(back.model.nfc.mf(k, l).center,
+                       b.model.nfc.mf(k, l).center);
+      EXPECT_DOUBLE_EQ(back.model.nfc.mf(k, l).sigma,
+                       b.model.nfc.mf(k, l).sigma);
+    }
+  EXPECT_TRUE(bundles_equal(back, b));
+  fs::remove(path);
+}
+
+TEST(ModelIo, ReloadedModelClassifiesIdentically) {
+  const auto path = temp_path("cls");
+  const lifecycle::ModelBundle b = make_bundle(2, 2);
+  lifecycle::save_bundle(b, path);
+  const lifecycle::ModelBundle back = lifecycle::load_bundle(path);
+
+  // Float and quantized classifiers agree window for window.
+  const auto q = b.model.quantize();
+  const auto q_back = back.model.quantize();
+  math::Rng rng(3);
+  for (int trial = 0; trial < 100; ++trial) {
+    dsp::Signal window(200);
+    for (auto& x : window) x = static_cast<int>(rng.uniform_int(-800, 800));
+    EXPECT_EQ(b.model.nfc.classify(b.model.projector.project(window),
+                                   b.model.alpha_train),
+              back.model.nfc.classify(back.model.projector.project(window),
+                                      back.model.alpha_train));
+    EXPECT_EQ(q.classify_window(window), q_back.classify_window(window));
+  }
+  fs::remove(path);
+}
+
+TEST(ModelIo, MissingFileThrows) {
+  EXPECT_THROW((void)lifecycle::load_bundle("/nonexistent/bundle.bin"),
+               hbrp::Error);
+}
+
+TEST(ModelIo, CorruptMagicRejected) {
+  const auto path = temp_path("bad");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "GARBAGEGARBAGEGARBAGE";
+  }
+  EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error);
+  fs::remove(path);
+}
+
+TEST(ModelIo, TruncatedFileRejected) {
+  const auto path = temp_path("trunc");
+  lifecycle::save_bundle(make_bundle(4, 4), path);
+  fs::resize_file(path, fs::file_size(path) / 2);
+  EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error);
+  fs::remove(path);
+}
+
+TEST(ModelIo, SingleByteCorruptionSweepNeverMisloads) {
+  // A bundle file with any single corrupted byte is rejected: the format
+  // has no unchecked padding, everything is covered by the magic, the size
+  // field or the payload CRC. Never a crash, never a silent misload.
+  const auto path = temp_path("sweep");
+  const lifecycle::ModelBundle b = make_bundle(6, 6);
+  lifecycle::save_bundle(b, path);
+  const std::vector<char> original = slurp(path);
+  ASSERT_FALSE(original.empty());
+
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    std::vector<char> corrupt = original;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5A);
+    spit(path, corrupt);
+    try {
+      const lifecycle::ModelBundle back = lifecycle::load_bundle(path);
+      EXPECT_TRUE(bundles_equal(back, b))
+          << "silent misload with byte " << i << " corrupted";
+    } catch (const hbrp::Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, original.size());
+  fs::remove(path);
+}
+
+TEST(ModelIo, TruncationSweepRejected) {
+  const auto path = temp_path("truncsweep");
+  const lifecycle::ModelBundle b = make_bundle(7, 7);
+  lifecycle::save_bundle(b, path);
+  const std::uintmax_t size = fs::file_size(path);
+  for (const std::uintmax_t keep :
+       {std::uintmax_t{0}, std::uintmax_t{1}, std::uintmax_t{7},
+        std::uintmax_t{8}, std::uintmax_t{12}, std::uintmax_t{15},
+        std::uintmax_t{16}, size / 4, size / 2, size - 1}) {
+    lifecycle::save_bundle(b, path);
+    fs::resize_file(path, keep);
+    EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error)
+        << "kept " << keep << " bytes";
+  }
+  fs::remove(path);
+}
+
+TEST(ModelIo, InflatedLengthFieldsRejectedBeforeAllocation) {
+  const auto path = temp_path("inflate");
+  const lifecycle::ModelBundle b = make_bundle(8, 8);
+  lifecycle::save_bundle(b, path);
+  const std::vector<char> bytes = slurp(path);
+  const auto raw = [](std::vector<char>& v) {
+    return reinterpret_cast<unsigned char*>(v.data());
+  };
+
+  // Payload-size field (offset 8): a huge declared size fails the
+  // file-size cross-check long before any allocation.
+  std::vector<char> corrupt = bytes;
+  math::store_le<std::uint32_t>(raw(corrupt) + 8, 0x7FFFFFFFu);
+  spit(path, corrupt);
+  EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error);
+
+  // rows / cols / centroid_count, with the CRC redone so only the bounds
+  // checks stand between a hostile file and a multi-gigabyte allocation.
+  // Offsets follow the layout in bundle.cpp (16-byte header, then u64
+  // version, double alpha_test, u32 rows/cols/downsample, the matrix, the
+  // membership functions, double alpha_train, u32 centroid_count).
+  const std::size_t rows = b.model.projector.matrix().rows();
+  const std::size_t cols = b.model.projector.matrix().cols();
+  const std::size_t rows_at = 16 + 16;
+  const std::size_t cols_at = rows_at + 4;
+  const std::size_t count_at =
+      rows_at + 12 + rows * cols + rows * ecg::kNumClasses * 16 + 8;
+  corrupt = bytes;
+  ASSERT_EQ(math::load_le<std::uint32_t>(raw(corrupt) + rows_at), rows);
+  ASSERT_EQ(math::load_le<std::uint32_t>(raw(corrupt) + cols_at), cols);
+  ASSERT_EQ(math::load_le<std::uint32_t>(raw(corrupt) + count_at),
+            b.centroids.centroids.size());
+  for (const std::size_t at : {rows_at, cols_at, count_at}) {
+    corrupt = bytes;
+    math::store_le<std::uint32_t>(raw(corrupt) + at, 0x00FFFFFFu);
+    math::store_le<std::uint32_t>(
+        raw(corrupt) + 12,
+        math::crc32(raw(corrupt) + 16, corrupt.size() - 16));
+    spit(path, corrupt);
+    EXPECT_THROW((void)lifecycle::load_bundle(path), hbrp::Error)
+        << "inflated field at byte " << at;
+  }
+  fs::remove(path);
+}
+
+TEST(ModelIo, SaveIsAtomicAndLeavesNoTempFile) {
+  const auto path = temp_path("atomic");
+  const lifecycle::ModelBundle b = make_bundle(9, 9);
+  fs::path tmp = path;
+  tmp += ".tmp";
+  lifecycle::save_bundle(b, path);
+  EXPECT_FALSE(fs::exists(tmp)) << "the temp sibling must be renamed away";
+  // Overwriting an existing, even corrupt, file publishes the bundle
+  // intact and leaves no temp sibling behind.
+  spit(path, std::vector<char>{'j', 'u', 'n', 'k'});
+  lifecycle::save_bundle(b, path);
+  EXPECT_FALSE(fs::exists(tmp));
+  EXPECT_TRUE(bundles_equal(lifecycle::load_bundle(path), b));
   fs::remove(path);
 }
 
