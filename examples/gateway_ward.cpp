@@ -27,10 +27,12 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "dsp/quality.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
 #include "net/client.hpp"
 #include "net/gateway.hpp"
+#include "net/wire.hpp"
 #include "platform/energy.hpp"
 #include "testing/fault_inject.hpp"
 
@@ -57,14 +59,20 @@ struct NodeReport {
 };
 
 /// Bytes a StreamEverything link would have spent on the same samples:
-/// one HELLO plus dense SAMPLE_CHUNK frames (heartbeats excluded — an
-/// active link never idles long enough to send one).
-std::uint64_t stream_baseline_bytes(std::uint64_t samples,
+/// one HELLO plus dense SAMPLE_CHUNK frames of the node's sanitized codes
+/// (heartbeats excluded — an active link never idles long enough to send
+/// one).
+std::uint64_t stream_baseline_bytes(std::span<const double> lead,
                                     std::size_t chunk_samples) {
-  const std::uint64_t chunks =
-      (samples + chunk_samples - 1) / std::max<std::size_t>(chunk_samples, 1);
-  return (hbrp::net::kHeaderBytes + 11) +
-         chunks * hbrp::net::kHeaderBytes + samples * 4;
+  const auto codes = hbrp::dsp::sanitize_samples(lead);
+  std::uint64_t bytes = hbrp::net::kHeaderBytes + 11;
+  for (std::size_t off = 0; off < codes.size(); off += chunk_samples)
+    bytes += hbrp::net::kHeaderBytes +
+             hbrp::net::encode_sample_chunk(
+                 std::span<const hbrp::dsp::Sample>(codes).subspan(
+                     off, std::min(chunk_samples, codes.size() - off)))
+                 .size();
+  return bytes;
 }
 
 }  // namespace
@@ -188,7 +196,7 @@ int main(int argc, char** argv) {
     const NodeReport& r = reports[i];
     const bool selective = r.policy == net::TxPolicy::Selective;
     const std::uint64_t baseline =
-        stream_baseline_bytes(r.stats.samples_in, 512);
+        stream_baseline_bytes(streams[i], 512);
     if (selective) {
       selective_bytes += r.stats.bytes_tx;
       selective_baseline += baseline;

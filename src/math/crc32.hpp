@@ -1,9 +1,11 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// Used to guard persisted artefacts (trained models) against silent flash /
-// filesystem corruption: a single flipped bit anywhere in the payload is
-// detected before any length field is trusted. Table-driven, one lookup per
-// byte — negligible next to the file I/O it protects.
+// Guards both persisted artefacts (model bundles) and every wire frame
+// (net/wire chains it over each frame's header and payload), so it sits on
+// the streaming hot path: a single flipped bit anywhere is detected before
+// any length field is trusted. Slice-by-8: eight table lookups per eight
+// input bytes, with a bytewise loop for the tail. Values are those of the
+// classic bytewise algorithm for any length, alignment and seed.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 #include "net/wire.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "math/check.hpp"
 #include "math/crc32.hpp"
@@ -15,8 +15,112 @@ using math::ByteReader;
 using math::load_le;
 using math::store_le;
 
-constexpr std::size_t kFullBeatFixedBytes =
-    8 + 1 + 1 + 2;  // r_peak, class, quality, count
+/// FullBeat fields ahead of its code block: r_peak, class, quality.
+constexpr std::size_t kFullBeatFixedBytes = 8 + 1 + 1;
+/// Code block prefix: u16 count, i32 first code, u8 delta width.
+constexpr std::size_t kBlockHeadBytes = 2 + 4 + 1;
+
+/// Zigzag of a wrapped difference: small magnitudes of either sign map to
+/// small unsigned values (0, -1, 1, -2 ... -> 0, 1, 2, 3 ...).
+std::uint32_t zigzag(std::uint32_t d) {
+  return (d << 1) ^ (0u - (d >> 31));
+}
+std::uint32_t unzigzag(std::uint32_t z) { return (z >> 1) ^ (0u - (z & 1u)); }
+
+std::size_t packed_bytes(std::size_t count, unsigned width) {
+  return count < 2 ? 0 : ((count - 1) * width + 7) / 8;
+}
+
+/// Appends one code block: count, first code, the width w of the widest
+/// zigzagged delta, then count-1 deltas of w bits each, LSB-first, the last
+/// byte zero-padded. Differences wrap modulo 2^32, so any int32 sequence
+/// round-trips (w = 32 at worst; a flat line is w = 0). An empty span
+/// writes the count alone.
+void append_code_block(std::vector<unsigned char>& p,
+                       std::span<const dsp::Sample> codes) {
+  if (codes.empty()) {
+    append_le(p, std::uint16_t{0});
+    return;
+  }
+  const auto delta = [&codes](std::size_t i) {
+    return zigzag(static_cast<std::uint32_t>(codes[i]) -
+                  static_cast<std::uint32_t>(codes[i - 1]));
+  };
+  std::uint32_t any = 0;
+  for (std::size_t i = 1; i < codes.size(); ++i) any |= delta(i);
+  const auto width = static_cast<unsigned>(std::bit_width(any));
+  const std::size_t at = p.size();
+  p.resize(at + kBlockHeadBytes + packed_bytes(codes.size(), width));
+  unsigned char* o = p.data() + at;
+  store_le<std::uint16_t>(o, static_cast<std::uint16_t>(codes.size()));
+  store_le<std::int32_t>(o + 2, codes[0]);
+  o[6] = static_cast<unsigned char>(width);
+  o += kBlockHeadBytes;
+  std::uint64_t acc = 0;  // pending bits, LSB first; < 32 between codes
+  unsigned bits = 0;
+  for (std::size_t i = 1; i < codes.size(); ++i) {
+    acc |= static_cast<std::uint64_t>(delta(i)) << bits;
+    bits += width;
+    if (bits >= 32) {
+      store_le<std::uint32_t>(o, static_cast<std::uint32_t>(acc));
+      o += 4;
+      acc >>= 32;
+      bits -= 32;
+    }
+  }
+  for (unsigned b = 0; b < bits; b += 8, acc >>= 8)
+    *o++ = static_cast<unsigned char>(acc);
+}
+
+/// Decodes a block that must span `block` exactly, appending its codes to
+/// `out`. Rejects a count outside [min_count, max_count], a width above 32,
+/// any size other than the one count and width imply, and non-zero pad
+/// bits; a rejected block leaves `out` untouched. A zero count is the two
+/// count bytes alone.
+bool read_code_block(std::span<const unsigned char> block,
+                     std::size_t min_count, std::size_t max_count,
+                     std::vector<dsp::Sample>& out) {
+  if (block.size() < 2) return false;
+  const std::size_t count = load_le<std::uint16_t>(block.data());
+  if (count < min_count || count > max_count) return false;
+  if (count == 0) return block.size() == 2;
+  if (block.size() < kBlockHeadBytes) return false;
+  const unsigned width = block[6];
+  if (width > 32) return false;
+  const std::size_t nbytes = packed_bytes(count, width);
+  if (block.size() != kBlockHeadBytes + nbytes) return false;
+  const unsigned char* p = block.data() + kBlockHeadBytes;
+  const unsigned char* const end = p + nbytes;
+  const std::size_t pad = 8 * nbytes - (count - 1) * width;  // 0..7 bits
+  if (pad > 0 && (end[-1] >> (8 - pad)) != 0) return false;
+
+  const std::size_t at = out.size();
+  out.resize(at + count);
+  dsp::Sample* dst = out.data() + at;
+  auto prev = load_le<std::uint32_t>(block.data() + 2);
+  dst[0] = static_cast<dsp::Sample>(prev);
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  std::uint64_t acc = 0;  // unread bits, LSB first
+  unsigned bits = 0;
+  for (std::size_t i = 1; i < count; ++i) {
+    if (bits < width) {
+      if (end - p >= 4) {
+        acc |= static_cast<std::uint64_t>(load_le<std::uint32_t>(p)) << bits;
+        p += 4;
+        bits += 32;
+      } else {
+        // The exact size check above guarantees these tail bytes exist.
+        for (; bits < width; bits += 8)
+          acc |= static_cast<std::uint64_t>(*p++) << bits;
+      }
+    }
+    prev += unzigzag(static_cast<std::uint32_t>(acc & mask));
+    dst[i] = static_cast<dsp::Sample>(prev);
+    acc >>= width;
+    bits -= width;
+  }
+  return true;
+}
 
 bool valid_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::Hello) &&
@@ -148,12 +252,10 @@ std::vector<unsigned char> encode_model_ack(const ModelAckMsg& m) {
 
 std::vector<unsigned char> encode_sample_chunk(
     std::span<const dsp::Sample> samples) {
-  HBRP_REQUIRE(samples.size() <= kMaxChunkSamples,
-               "wire: sample chunk exceeds kMaxChunkSamples");
+  HBRP_REQUIRE(!samples.empty() && samples.size() <= kMaxChunkSamples,
+               "wire: sample chunk size outside [1, kMaxChunkSamples]");
   std::vector<unsigned char> p;
-  p.reserve(samples.size() * sizeof(std::int32_t));
-  for (const dsp::Sample s : samples)
-    append_le(p, static_cast<std::int32_t>(s));
+  append_code_block(p, samples);
   return p;
 }
 
@@ -163,13 +265,10 @@ std::vector<unsigned char> encode_full_beat(
                "wire: beat window exceeds kMaxWindowSamples");
   m.count = static_cast<std::uint16_t>(window.size());
   std::vector<unsigned char> p;
-  p.reserve(kFullBeatFixedBytes + window.size() * sizeof(std::int32_t));
   append_le(p, m.r_peak);
   append_le(p, m.beat_class);
   append_le(p, m.quality);
-  append_le(p, m.count);
-  for (const dsp::Sample s : window)
-    append_le(p, static_cast<std::int32_t>(s));
+  append_code_block(p, window);
   return p;
 }
 
@@ -245,14 +344,7 @@ std::optional<ModelAckMsg> decode_model_ack(
 
 bool decode_sample_chunk(std::span<const unsigned char> payload,
                          std::vector<dsp::Sample>& out) {
-  if (payload.size() % sizeof(std::int32_t) != 0) return false;
-  const std::size_t count = payload.size() / sizeof(std::int32_t);
-  if (count == 0 || count > kMaxChunkSamples) return false;
-  const std::size_t at = out.size();
-  out.resize(at + count);
-  for (std::size_t i = 0; i < count; ++i)
-    out[at + i] = load_le<std::int32_t>(payload.data() + i * 4);
-  return true;
+  return read_code_block(payload, 1, kMaxChunkSamples, out);
 }
 
 bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
@@ -262,14 +354,11 @@ bool decode_full_beat(std::span<const unsigned char> payload, FullBeatMsg& m,
   m.r_peak = r.get<std::uint64_t>();
   m.beat_class = r.get<std::uint8_t>();
   m.quality = r.get<std::uint8_t>();
-  m.count = r.get<std::uint16_t>();
-  if (m.count > kMaxWindowSamples) return false;
-  if (r.remaining() != m.count * sizeof(std::int32_t)) return false;
   window.clear();
-  window.reserve(m.count);
-  const unsigned char* s = r.bytes(m.count * sizeof(std::int32_t));
-  for (std::size_t i = 0; i < m.count; ++i)
-    window.push_back(load_le<std::int32_t>(s + i * 4));
+  if (!read_code_block(payload.subspan(kFullBeatFixedBytes), 0,
+                       kMaxWindowSamples, window))
+    return false;
+  m.count = static_cast<std::uint16_t>(window.size());
   return true;
 }
 

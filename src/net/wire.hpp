@@ -1,4 +1,4 @@
-// WBSN wire protocol v1: versioned little-endian binary framing.
+// WBSN wire protocol v2: versioned little-endian binary framing.
 //
 // The transport between a sensor node and the ward gateway. Every frame is
 // a fixed 20-byte header followed by a bounded payload:
@@ -13,7 +13,7 @@
 //
 // All multi-byte fields are little-endian via math/endian.hpp — the same
 // audited codec lifecycle/bundle uses for model bundles. The CRC (the
-// existing math::crc32) covers the length and sequence fields, so a
+// slice-by-8 math::crc32) covers the length and sequence fields, so a
 // corrupted header can never drive a bogus allocation or a silent seq jump;
 // payload_len is additionally bounded before the CRC is even attempted so
 // a hostile length cannot stall the parser waiting for gigabytes.
@@ -24,12 +24,16 @@
 //   HelloAck     gateway -> client   seq 0; HelloAckMsg (session id, status)
 //   SampleChunk  client -> gateway   seq = dense chunk counter from 0; the
 //                                    gateway rejects any gap or reorder.
-//                                    Payload: N x int32 ADC codes.
+//                                    Payload: one code block, count in
+//                                    [1, kMaxChunkSamples].
 //   BeatVerdict  gateway -> client   seq = per-session verdict sequence
 //                                    (dense, the FleetEngine delivery
 //                                    order contract); BeatVerdictMsg.
 //   FullBeat     client -> gateway   seq = dense beat-upload counter;
-//                                    FullBeatMsg + window samples. Resent
+//                                    Payload: r_peak u64, class u8,
+//                                    quality u8, then one code block of
+//                                    the window (count 0: Suspect
+//                                    metadata only, nothing follows). Resent
 //                                    after reconnect until its BeatVerdict
 //                                    arrives (at-least-once; the gateway
 //                                    re-verdicts duplicates and the client
@@ -56,6 +60,27 @@
 //                                    outcome (Ok or a NACK reason) and the
 //                                    bundle version it refers to.
 //
+// Code block: the one sample encoding (SampleChunk and FullBeat alike).
+// ADC codes move slowly from sample to sample, so a block carries the
+// first code and then zigzagged differences packed at the width of the
+// widest one in the block (6-8 bits for 11-bit ECG codes, against 32 as
+// raw int32):
+//
+//   offset  size                 field
+//   0       2                    count (codes in the block)
+//   2       4                    first code (int32)
+//   6       1                    delta width w, 0..32
+//   7       ceil((count-1)*w/8)  count-1 zigzagged deltas of w bits each,
+//                                LSB-first; the last byte's pad bits are 0
+//
+// delta_i = code_i - code_{i-1} in wrapping uint32 arithmetic, and
+// zigzag(d) = (d << 1) ^ (all ones if d's top bit is set, else 0), so
+// every int32 sequence round-trips (w is 32 at worst; a flat line is
+// w = 0). The encoder picks w per block from the data. Decoders are
+// strict: the payload size must equal what count and w imply, w <= 32,
+// count within its bound, pad bits zero; anything else is a malformed
+// payload. A count of 0 (FullBeat only) is the two count bytes alone.
+//
 // FrameParser is the receive side: feed() raw socket bytes, then pull
 // complete frames with next(). It is incremental (handles any fragmentation
 // TCP produces) and fails *sticky*: a bad magic, version, length or CRC
@@ -76,11 +101,13 @@
 namespace hbrp::net {
 
 inline constexpr std::uint16_t kWireMagic = 0xECB5;
-inline constexpr std::uint8_t kProtocolVersion = 1;
+/// Changes with every payload layout change (2: code blocks). The parser
+/// rejects a frame of any other version with "protocol version mismatch".
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 20;
 /// Upper bound on one frame's payload; caps parser buffering and keeps a
 /// corrupt length field from ever looking plausible. Large enough for a
-/// FullBeat of kMaxWindowSamples plus its fixed fields.
+/// FullBeat of kMaxWindowSamples plus its fixed fields even at w = 32.
 inline constexpr std::size_t kMaxPayloadBytes = 1u << 16;
 /// Bounds for the typed payloads (checked by the codecs on both sides).
 inline constexpr std::size_t kMaxChunkSamples = 8192;
@@ -145,7 +172,8 @@ struct BeatVerdictMsg {
   std::uint8_t quality = 0;     ///< dsp::SignalQuality
 };
 
-/// Fixed prefix of a FullBeat payload; `count` window samples follow.
+/// Fixed fields of a FullBeat payload; a code block of `count` window
+/// samples follows.
 struct FullBeatMsg {
   std::uint64_t r_peak = 0;
   std::uint8_t beat_class = 0;  ///< node's local verdict (ecg::BeatClass)
@@ -212,10 +240,10 @@ std::vector<unsigned char> encode_beat_verdict(const BeatVerdictMsg& m);
 std::vector<unsigned char> encode_ack(const AckMsg& m);
 std::vector<unsigned char> encode_model_push(const ModelPushMsg& m);
 std::vector<unsigned char> encode_model_ack(const ModelAckMsg& m);
-/// SampleChunk payload: `samples.size()` int32 codes (<= kMaxChunkSamples).
+/// SampleChunk payload: one code block of `samples` (1..kMaxChunkSamples).
 std::vector<unsigned char> encode_sample_chunk(
     std::span<const dsp::Sample> samples);
-/// FullBeat payload: fixed fields + `window.size()` int32 codes
+/// FullBeat payload: fixed fields + a code block of `window`
 /// (<= kMaxWindowSamples; `m.count` is overwritten with window.size()).
 std::vector<unsigned char> encode_full_beat(
     FullBeatMsg m, std::span<const dsp::Sample> window);
@@ -235,7 +263,8 @@ std::optional<ModelPushMsg> decode_model_push(
     std::span<const unsigned char> payload);
 std::optional<ModelAckMsg> decode_model_ack(
     std::span<const unsigned char> payload);
-/// Appends the chunk's samples to `out`; false on malformed payload.
+/// Appends the chunk's samples to `out`; false (and `out` untouched) on a
+/// malformed payload.
 bool decode_sample_chunk(std::span<const unsigned char> payload,
                          std::vector<dsp::Sample>& out);
 /// Decodes the fixed fields and fills `window`; false on malformed payload.

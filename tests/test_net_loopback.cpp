@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/streaming.hpp"
 #include "core/trainer.hpp"
 #include "ecg/dataset.hpp"
 #include "ecg/synth.hpp"
@@ -318,8 +319,8 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   // Mostly-normal rhythm: the node's monitor equals the fleet session's
   // monitor, so the reference run predicts the exact local/upload split.
   const auto lead = patient_lead(9);
-  const auto reference =
-      direct_ingest(*bundle_, dsp::sanitize_samples(lead), 1, 1);
+  const auto codes = dsp::sanitize_samples(lead);
+  const auto reference = direct_ingest(*bundle_, codes, 1, 1);
   std::size_t expect_local = 0, expect_full = 0, expect_meta = 0;
   for (const auto& r : reference) {
     const bool good = static_cast<dsp::SignalQuality>(r.quality) ==
@@ -375,18 +376,39 @@ TEST_F(NetLoopbackTest, SelectivePolicyKeepsNormalBeatsLocal) {
   EXPECT_EQ(gs.samples_rx.load(), 0u) << "selective mode ships no raw chunks";
 
   // Exact bytes-on-wire accounting: HELLO + BYE + one frame per upload —
-  // nothing else leaves the node (heartbeats disabled above).
-  const std::size_t w = bundle_->projector().expected_window();
-  const std::uint64_t expect_bytes =
-      (net::kHeaderBytes + 11) + net::kHeaderBytes +
-      expect_full * (net::kHeaderBytes + 12 + sizeof(dsp::Sample) * w) +
-      expect_meta * (net::kHeaderBytes + 12);
-  EXPECT_EQ(s.bytes_tx, expect_bytes);
+  // nothing else leaves the node (heartbeats disabled above). A replay of
+  // the node's monitor cuts the same windows, so each upload is sized by
+  // encoding the very window the node sent.
+  std::uint64_t upload_bytes = 0;
+  std::size_t uploads = 0;
+  core::StreamingBeatMonitor node(*bundle_, ncfg.monitor);
+  const core::PendingBeatSink size_upload = [&](const core::PendingBeat& pb) {
+    const core::MonitorBeat b = node.classify(pb);
+    if (b.quality == dsp::SignalQuality::Good &&
+        !ecg::is_pathological(b.predicted))
+      return;  // local record
+    upload_bytes +=
+        net::kHeaderBytes + net::encode_full_beat({}, pb.window).size();
+    ++uploads;
+  };
+  node.push_block(codes, size_upload);
+  node.flush(size_upload);
+  ASSERT_EQ(uploads, expect_full + expect_meta);
+  const std::uint64_t hello_bye_bytes =
+      (net::kHeaderBytes + 11) + net::kHeaderBytes;
+  EXPECT_EQ(s.bytes_tx, hello_bye_bytes + upload_bytes);
 
-  // The paper's point: the selective policy costs a fraction of shipping
-  // the raw 4-byte-per-sample stream.
-  const std::uint64_t stream_everything_bytes =
-      static_cast<std::uint64_t>(lead.size()) * sizeof(dsp::Sample);
+  // The paper's point: the selective policy costs a fraction of what a
+  // StreamEverything node sends for the same samples (HELLO, the packed
+  // SAMPLE_CHUNK frames, BYE).
+  std::uint64_t stream_everything_bytes = hello_bye_bytes;
+  for (std::size_t off = 0; off < codes.size(); off += ncfg.chunk_samples)
+    stream_everything_bytes +=
+        net::kHeaderBytes +
+        net::encode_sample_chunk(
+            std::span<const dsp::Sample>(codes).subspan(
+                off, std::min(ncfg.chunk_samples, codes.size() - off)))
+            .size();
   EXPECT_LT(s.bytes_tx, stream_everything_bytes / 2);
   const platform::PowerModel power;
   EXPECT_GT(net::radio_energy_j(s, power), 0.0);

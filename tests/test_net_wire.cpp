@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "math/check.hpp"
+#include "math/crc32.hpp"
 #include "math/endian.hpp"
 #include "math/rng.hpp"
 
@@ -91,11 +94,16 @@ TEST(WireCodec, FullBeatRoundtripAndZeroSampleEscalation) {
   std::vector<dsp::Sample> got_window;
   ASSERT_TRUE(net::decode_full_beat(payload, got, got_window));
   EXPECT_EQ(got.r_peak, m.r_peak);
+  EXPECT_EQ(got.beat_class, m.beat_class);
+  EXPECT_EQ(got.quality, m.quality);
   EXPECT_EQ(got.count, 200);
   EXPECT_EQ(got_window, window);
+  // Fixed fields, block header, then 199 deltas of +1 (zigzag 2, w = 2).
+  EXPECT_EQ(payload.size(), 10u + 7u + 50u);
 
   // Suspect-signal escalation: metadata only, no window.
   const auto meta = net::encode_full_beat(m, {});
+  EXPECT_EQ(meta.size(), 12u) << "fixed fields + a zero count, nothing else";
   ASSERT_TRUE(net::decode_full_beat(meta, got, got_window));
   EXPECT_EQ(got.count, 0);
   EXPECT_TRUE(got_window.empty());
@@ -110,7 +118,8 @@ TEST(WireCodec, DecodersRejectWrongSizes) {
   longer.push_back(0);
   EXPECT_FALSE(net::decode_hello(longer).has_value());
 
-  // SampleChunk payloads must be a whole number of int32 codes.
+  // A SampleChunk payload is one code block of at least one code; seven
+  // zero bytes are a block header that declares zero codes.
   std::vector<unsigned char> ragged(7, 0);
   std::vector<dsp::Sample> out;
   EXPECT_FALSE(net::decode_sample_chunk(ragged, out));
@@ -123,6 +132,278 @@ TEST(WireCodec, DecodersRejectWrongSizes) {
   fb.pop_back();
   net::FullBeatMsg got;
   EXPECT_FALSE(net::decode_full_beat(fb, got, out));
+}
+
+// --- code blocks: the bit-packed zigzag-delta sample encoding -----------
+
+std::vector<dsp::Sample> decode_chunk_or_fail(
+    std::span<const unsigned char> payload) {
+  std::vector<dsp::Sample> out;
+  EXPECT_TRUE(net::decode_sample_chunk(payload, out));
+  return out;
+}
+
+/// Payload bytes of a block with `count` codes and width `w` (header included).
+std::size_t block_bytes(std::size_t count, unsigned w) {
+  return 7 + (count < 2 ? 0 : ((count - 1) * w + 7) / 8);
+}
+
+TEST(WireCodeBlock, RandomInt32SpansRoundtrip) {
+  math::Rng rng(4242);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<dsp::Sample> in(1 + rng.uniform_index(net::kMaxChunkSamples));
+    // Half the spans are full-range noise, half a slow ECG-like walk.
+    const bool noise = round % 2 == 0;
+    dsp::Sample x = static_cast<dsp::Sample>(rng.uniform_index(2048));
+    for (auto& v : in) {
+      if (noise)
+        v = static_cast<dsp::Sample>(
+            static_cast<std::uint32_t>(rng.uniform_index(1ull << 32)));
+      else
+        v = x += static_cast<dsp::Sample>(rng.uniform_index(41)) - 20;
+    }
+    const auto payload = net::encode_sample_chunk(in);
+    ASSERT_EQ(payload.size(), block_bytes(in.size(), payload[6]));
+    ASSERT_LE(payload[6], 32u);
+    if (!noise) {
+      EXPECT_LE(payload[6], 6u);  // |delta| <= 20 zigzags below 64
+    }
+    EXPECT_EQ(decode_chunk_or_fail(payload), in);
+  }
+}
+
+TEST(WireCodeBlock, ExtremeWidthsAndCounts) {
+  constexpr auto kMin = std::numeric_limits<dsp::Sample>::min();
+  constexpr auto kMax = std::numeric_limits<dsp::Sample>::max();
+  // Alternating rails: the deltas wrap to -1 and +1 modulo 2^32, so the
+  // block is narrow and still exact.
+  std::vector<dsp::Sample> rails(101);
+  for (std::size_t i = 0; i < rails.size(); ++i)
+    rails[i] = i % 2 == 0 ? kMin : kMax;
+  auto payload = net::encode_sample_chunk(rails);
+  EXPECT_EQ(payload[6], 2u);
+  EXPECT_EQ(decode_chunk_or_fail(payload), rails);
+  // Alternating INT32_MIN and 0: every delta is 2^31, zigzag 0xFFFFFFFF.
+  for (std::size_t i = 0; i < rails.size(); ++i)
+    rails[i] = i % 2 == 0 ? kMin : 0;
+  payload = net::encode_sample_chunk(rails);
+  EXPECT_EQ(payload[6], 32u);
+  EXPECT_EQ(payload.size(), block_bytes(rails.size(), 32));
+  EXPECT_EQ(decode_chunk_or_fail(payload), rails);
+
+  // A flat line costs the block header alone (w = 0).
+  const std::vector<dsp::Sample> flat(net::kMaxChunkSamples, -1234);
+  payload = net::encode_sample_chunk(flat);
+  EXPECT_EQ(payload[6], 0u);
+  EXPECT_EQ(payload.size(), 7u);
+  EXPECT_EQ(decode_chunk_or_fail(payload), flat);
+
+  // count = 1: the first code, no deltas.
+  const std::vector<dsp::Sample> one = {kMin};
+  payload = net::encode_sample_chunk(one);
+  EXPECT_EQ(payload.size(), 7u);
+  EXPECT_EQ(decode_chunk_or_fail(payload), one);
+
+  // count = kMaxChunkSamples at full width still fits one frame.
+  std::vector<dsp::Sample> full(net::kMaxChunkSamples);
+  for (std::size_t i = 0; i < full.size(); ++i)
+    full[i] = i % 3 == 0 ? kMax : (i % 3 == 1 ? kMin : 0);
+  payload = net::encode_sample_chunk(full);
+  EXPECT_EQ(payload[6], 32u);
+  EXPECT_LE(payload.size(), net::kMaxPayloadBytes);
+  EXPECT_EQ(decode_chunk_or_fail(payload), full);
+
+  // The encoder refuses what the decoder would reject.
+  EXPECT_THROW(net::encode_sample_chunk({}), Error);
+  const std::vector<dsp::Sample> over(net::kMaxChunkSamples + 1, 0);
+  EXPECT_THROW(net::encode_sample_chunk(over), Error);
+  const std::vector<dsp::Sample> big_window(net::kMaxWindowSamples + 1, 0);
+  EXPECT_THROW(net::encode_full_beat({}, big_window), Error);
+}
+
+TEST(WireCodeBlock, EveryTruncationAndExtensionIsRejected) {
+  math::Rng rng(31);
+  std::vector<dsp::Sample> codes(300);
+  dsp::Sample x = 0;
+  for (auto& v : codes)
+    v = x += static_cast<dsp::Sample>(rng.uniform_index(9)) - 4;
+  const auto chunk = net::encode_sample_chunk(codes);
+  const auto beat = net::encode_full_beat({}, std::span(codes).first(200));
+  std::vector<dsp::Sample> out;
+  net::FullBeatMsg m;
+  for (std::size_t n = 0; n < chunk.size(); ++n)
+    EXPECT_FALSE(net::decode_sample_chunk(std::span(chunk).first(n), out))
+        << "chunk truncated to " << n;
+  for (std::size_t n = 0; n < beat.size(); ++n)
+    EXPECT_FALSE(net::decode_full_beat(std::span(beat).first(n), m, out))
+        << "beat truncated to " << n;
+  EXPECT_TRUE(out.empty()) << "a rejected chunk appends nothing";
+  for (unsigned char extra : {0x00, 0x5A}) {
+    auto longer = chunk;
+    longer.push_back(extra);
+    EXPECT_FALSE(net::decode_sample_chunk(longer, out));
+    auto longer_beat = beat;
+    longer_beat.push_back(extra);
+    EXPECT_FALSE(net::decode_full_beat(longer_beat, m, out));
+  }
+  // A Suspect upload is exactly 12 bytes: nothing may follow count 0.
+  auto meta = net::encode_full_beat({}, {});
+  meta.push_back(0);
+  EXPECT_FALSE(net::decode_full_beat(meta, m, out));
+}
+
+TEST(WireCodeBlock, MalformedHeadersAndPadBitsAreRejected) {
+  std::vector<dsp::Sample> out;
+  net::FullBeatMsg m;
+  // Width 33 with a size that would be consistent for it.
+  std::vector<unsigned char> p(7 + 9, 0);
+  math::store_le<std::uint16_t>(p.data(), 3);
+  p[6] = 33;
+  EXPECT_FALSE(net::decode_sample_chunk(p, out));
+  p[6] = 32;
+  p.resize(7 + 8);
+  EXPECT_TRUE(net::decode_sample_chunk(p, out));  // same shape at w = 32
+  out.clear();
+
+  // Counts one past each bound (w = 0, so the size is the header alone).
+  std::vector<unsigned char> flat(7, 0);
+  math::store_le<std::uint16_t>(
+      flat.data(), static_cast<std::uint16_t>(net::kMaxChunkSamples + 1));
+  EXPECT_FALSE(net::decode_sample_chunk(flat, out));
+  math::store_le<std::uint16_t>(
+      flat.data(), static_cast<std::uint16_t>(net::kMaxChunkSamples));
+  EXPECT_TRUE(net::decode_sample_chunk(flat, out));
+  EXPECT_EQ(out.size(), net::kMaxChunkSamples);
+  std::vector<unsigned char> beat(10, 0);
+  beat.insert(beat.end(), flat.begin(), flat.end());
+  math::store_le<std::uint16_t>(
+      beat.data() + 10, static_cast<std::uint16_t>(net::kMaxWindowSamples + 1));
+  EXPECT_FALSE(net::decode_full_beat(beat, m, out));
+  math::store_le<std::uint16_t>(
+      beat.data() + 10, static_cast<std::uint16_t>(net::kMaxWindowSamples));
+  EXPECT_TRUE(net::decode_full_beat(beat, m, out));
+
+  // Non-zero pad bits: three deltas of +4 (zigzag 8, w = 4) fill 12 of
+  // 16 bits; setting any of the top four must be rejected.
+  const std::vector<dsp::Sample> codes = {0, 4, 8, 12};
+  const auto chunk = net::encode_sample_chunk(codes);
+  ASSERT_EQ(chunk[6], 4u);
+  ASSERT_EQ(chunk.size(), 7u + 2u);
+  EXPECT_EQ(decode_chunk_or_fail(chunk), codes);
+  for (int bit = 4; bit < 8; ++bit) {
+    auto bad = chunk;
+    bad.back() = static_cast<unsigned char>(bad.back() | (1u << bit));
+    out.clear();
+    EXPECT_FALSE(net::decode_sample_chunk(bad, out)) << "pad bit " << bit;
+    EXPECT_TRUE(out.empty());
+  }
+}
+
+TEST(WireCodeBlock, LiteralV1FrameIsRejectedAsVersionMismatch) {
+  // A v1 SAMPLE_CHUNK carrying the codes {100, 101} as raw int32s, with a
+  // valid CRC: the version byte alone must stop it.
+  std::vector<unsigned char> frame = {
+      0xB5, 0xEC,              // magic
+      0x01,                    // protocol version 1
+      0x03,                    // SAMPLE_CHUNK
+      0x08, 0x00, 0x00, 0x00,  // payload length
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 0
+      0x00, 0x00, 0x00, 0x00,  // CRC (filled below)
+      0x64, 0x00, 0x00, 0x00, 0x65, 0x00, 0x00, 0x00};
+  std::uint32_t crc = math::crc32(frame.data(), 16);
+  crc = math::crc32(frame.data() + 20, 8, crc);
+  math::store_le<std::uint32_t>(frame.data() + 16, crc);
+  FrameParser p;
+  ASSERT_TRUE(p.feed(frame));
+  FrameView f;
+  EXPECT_EQ(p.next(f), FrameParser::Status::Corrupt);
+  EXPECT_EQ(p.error(), "protocol version mismatch");
+  EXPECT_EQ(p.next(f), FrameParser::Status::Corrupt) << "sticky";
+}
+
+TEST(WireFuzz, MutatedCodeBlocksRejectOrYieldExactlyCount) {
+  // Each case mutates a valid SAMPLE_CHUNK or FULL_BEAT payload (bit
+  // flips, byte overwrites of the count/width fields, truncation,
+  // extension) and decodes it. A decoder must either reject it or return
+  // exactly the count its header declares, and whatever it returns must
+  // round-trip through the encoder.
+  math::Rng rng(20261021);
+  constexpr int kCases = 200000;  // 10^5 per decoder
+  std::size_t accepted = 0;
+  std::vector<dsp::Sample> out, again;
+  for (int c = 0; c < kCases; ++c) {
+    const bool beat = c % 2 == 1;
+    const std::size_t n =
+        (beat ? 0 : 1) + rng.uniform_index(beat ? 257 : 600);
+    std::vector<dsp::Sample> codes(n);
+    // Mostly ECG-like steps, every seventh case full-width jumps.
+    const std::uint64_t span =
+        c % 7 == 0 ? 1ull << 32 : 2 + rng.uniform_index(64);
+    auto u = static_cast<std::uint32_t>(rng.uniform_index(4096));
+    for (auto& v : codes) {
+      u += static_cast<std::uint32_t>(rng.uniform_index(span) - span / 2);
+      v = static_cast<dsp::Sample>(u);
+    }
+    auto p = beat ? net::encode_full_beat({}, codes)
+                  : net::encode_sample_chunk(codes);
+    const std::size_t head = beat ? 10 : 0;  // the block starts here
+    switch (rng.uniform_index(5)) {
+      case 0:  // 1-3 random bit flips anywhere
+        for (std::uint64_t k = 0, f = 1 + rng.uniform_index(3); k < f; ++k) {
+          const std::size_t at = rng.uniform_index(p.size());
+          p[at] = static_cast<unsigned char>(p[at] ^
+                                             (1u << rng.uniform_index(8)));
+        }
+        break;
+      case 1:  // hostile count
+        math::store_le<std::uint16_t>(
+            p.data() + head,
+            static_cast<std::uint16_t>(rng.uniform_index(1u << 16)));
+        break;
+      case 2:  // hostile width (when the block has one)
+        if (p.size() > head + 6)
+          p[head + 6] = static_cast<unsigned char>(rng.uniform_index(256));
+        break;
+      case 3:  // truncate
+        p.resize(rng.uniform_index(p.size() + 1));
+        break;
+      default:  // extend
+        for (std::uint64_t k = 0, e = 1 + rng.uniform_index(8); k < e; ++k)
+          p.push_back(static_cast<unsigned char>(rng.uniform_index(256)));
+        break;
+    }
+    out.clear();
+    bool ok;
+    std::size_t declared = 0;
+    if (beat) {
+      net::FullBeatMsg m;
+      ok = net::decode_full_beat(p, m, out);
+      if (ok) {
+        declared = math::load_le<std::uint16_t>(p.data() + head);
+        EXPECT_EQ(m.count, declared);
+      }
+    } else {
+      ok = net::decode_sample_chunk(p, out);
+      if (ok) declared = math::load_le<std::uint16_t>(p.data());
+      else
+        EXPECT_TRUE(out.empty()) << "a rejected chunk appends nothing";
+    }
+    if (!ok) continue;
+    ++accepted;
+    ASSERT_EQ(out.size(), declared) << "case " << c;
+    if (out.empty()) continue;
+    again.clear();
+    net::FullBeatMsg m;
+    ASSERT_TRUE(beat ? net::decode_full_beat(net::encode_full_beat({}, out), m,
+                                             again)
+                     : net::decode_sample_chunk(net::encode_sample_chunk(out),
+                                                again));
+    ASSERT_EQ(again, out) << "case " << c;
+  }
+  // Flips inside the delta bits keep a block well-formed, so the fuzz
+  // must exercise the accept path as well as the reject path.
+  EXPECT_GT(accepted, static_cast<std::size_t>(kCases) / 20);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kCases));
 }
 
 TEST(WireFrame, ParserRoundtripsFramesOfEveryType) {

@@ -107,7 +107,8 @@ TEST_F(ScenarioChaosTest, StreamPathThroughLosslessChaosIsBitIdentical) {
 
 // Satellite: FULL_BEAT retransmission + verdict-as-ack survive forced
 // mid-upload disconnects. The kill budget is sized to land inside upload
-// bursts (a FULL_BEAT frame is ~850 bytes on the wire).
+// bursts (a 200-sample FULL_BEAT frame is about 200 bytes on the wire, so
+// each kill budget spans several uploads).
 TEST_F(ScenarioChaosTest, SelectiveUploadsSurviveConnectionKills) {
   const auto stream = scenario::build_scenario(vt_spec());
   ChaosConfig chaos;
